@@ -1,10 +1,11 @@
 // Crash-safe file primitives shared by the checkpointed shard pipelines
-// (corpus generation in core/corpus_pipeline.hpp, the sharded Table-I
-// experiment in core/experiment.hpp).
+// (corpus generation in core/corpus_pipeline.hpp, and the sharded-unit
+// engine in core/sharded_run.hpp behind the Table-I and transfer
+// sweeps).
 //
-// Both pipelines follow the same on-disk contract: a shard streams
-// results to a data file, a resume validates the longest usable prefix
-// and rewrites the file down to it *atomically* before appending, and a
+// Both follow the same on-disk contract: a shard streams results to a
+// data file, a resume validates the longest usable prefix and rewrites
+// the file down to it *atomically* before appending, and a
 // process-lifetime advisory lock makes concurrent duplicate invocations
 // of one shard fail fast.  These are the two primitives that contract
 // rests on.

@@ -1,15 +1,11 @@
 #include "core/corpus_pipeline.hpp"
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <numeric>
 #include <sstream>
 
 #include "common/checkpoint.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 
 namespace qaoaml::core {
@@ -142,67 +138,6 @@ bool read_manifest(const std::string& path, const std::string& config_line,
 }
 
 }  // namespace
-
-std::vector<std::size_t> shard_units(std::size_t total,
-                                     const ShardSpec& shard) {
-  require_valid_shard(shard);
-  std::vector<std::size_t> units;
-  for (std::size_t unit = static_cast<std::size_t>(shard.index); unit < total;
-       unit += static_cast<std::size_t>(shard.count)) {
-    units.push_back(unit);
-  }
-  return units;
-}
-
-void run_units_in_order(
-    const std::vector<std::size_t>& units,
-    const std::function<void(std::size_t, std::size_t)>& run,
-    const std::function<void(std::size_t, std::size_t)>& commit) {
-  if (units.empty()) return;
-  // parallel_for has no cancellation: it keeps claiming indices after a
-  // body throws and only rethrows at the end.  The abort flag makes
-  // not-yet-started units exit immediately after the first exception,
-  // so a failed commit (e.g. disk full) doesn't burn hours of compute
-  // on units whose results could never be committed.
-  std::atomic<bool> aborted{false};
-  auto guarded_run = [&](std::size_t slot) {
-    if (aborted.load(std::memory_order_relaxed)) return false;
-    try {
-      run(units[slot], slot);
-    } catch (...) {
-      aborted.store(true, std::memory_order_relaxed);
-      throw;
-    }
-    return true;
-  };
-  if (!commit) {
-    parallel_for(units.size(),
-                 [&](std::size_t slot) { guarded_run(slot); });
-    return;
-  }
-  std::mutex mutex;
-  std::vector<char> done(units.size(), 0);
-  std::size_t next = 0;
-  parallel_for(units.size(), [&](std::size_t slot) {
-    if (!guarded_run(slot)) return;
-    // Drain the completed prefix.  The lock both orders the commits and
-    // serializes them; holding it through commit() is deliberate — a
-    // worker finishing meanwhile only blocks on the flag update, and
-    // commits stay strictly ascending.
-    std::lock_guard<std::mutex> lock(mutex);
-    done[slot] = 1;
-    while (!aborted.load(std::memory_order_relaxed) && next < units.size() &&
-           done[next]) {
-      const std::size_t ready = next++;
-      try {
-        commit(units[ready], ready);
-      } catch (...) {
-        aborted.store(true, std::memory_order_relaxed);
-        throw;
-      }
-    }
-  });
-}
 
 std::string CorpusPipeline::shard_data_path(const std::string& directory,
                                             const ShardSpec& shard) {

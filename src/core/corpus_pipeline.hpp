@@ -45,61 +45,13 @@
 #define QAOAML_CORE_CORPUS_PIPELINE_HPP
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/parameter_dataset.hpp"
+#include "core/sharded_run.hpp"
 
 namespace qaoaml::core {
-
-/// One slice of a work-unit space split round-robin across `count`
-/// shards: shard `index` owns every unit with unit % count == index.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-
-  /// True when this shard owns `unit`.  A malformed spec (count < 1 or
-  /// index outside [0, count)) owns nothing — no division by zero.
-  bool owns(std::size_t unit) const {
-    return count >= 1 && index >= 0 && index < count &&
-           static_cast<int>(unit % static_cast<std::size_t>(count)) == index;
-  }
-};
-
-/// Ascending list of the units in [0, total) that `shard` owns.
-std::vector<std::size_t> shard_units(std::size_t total, const ShardSpec& shard);
-
-/// Progress hook shared by all three shard pipelines (corpus, Table-I,
-/// transfer): invoked with (units committed so far, units owned) —
-/// once right after the resume prefix is validated, then after every
-/// commit.  Calls are serialized (they ride the in-order commit path)
-/// but arrive on worker threads, so the callback must be cheap and
-/// must not re-enter the pipeline.  tools wire this to the line-framed
-/// stdout protocol (common/shard_protocol.hpp) that tools/launch
-/// parses for %-complete / rate / ETA and stall detection.
-using ShardProgressFn =
-    std::function<void(std::size_t done, std::size_t total)>;
-
-/// Asynchronous in-order unit scheduler, the pipeline's core primitive.
-///
-/// Runs `run(unit, slot)` for every entry of `units` (slot = position in
-/// the list) across the persistent thread pool.  As the completed
-/// prefix of the list grows, `commit(unit, slot)` is invoked for each
-/// newly covered entry — always in list order, never concurrently, on
-/// whichever worker completed the prefix.  Commits therefore overlap
-/// the remaining compute, which is what lets a shard stream results to
-/// disk while it is still optimizing.
-///
-/// `units` must be what the commits assume it is: callers pass it
-/// sorted.  An exception from `run` or `commit` aborts the dispatch:
-/// units not yet started are skipped, the first exception is rethrown
-/// once in-flight units finish, and already-issued commits stay
-/// issued.  An empty `commit` skips the commit phase entirely.
-void run_units_in_order(
-    const std::vector<std::size_t>& units,
-    const std::function<void(std::size_t unit, std::size_t slot)>& run,
-    const std::function<void(std::size_t unit, std::size_t slot)>& commit = {});
 
 /// Settings of one shard run.
 struct CorpusShardConfig {

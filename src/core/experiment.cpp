@@ -1,13 +1,9 @@
 #include "core/experiment.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 
-#include "common/checkpoint.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "stats/descriptive.hpp"
 
 namespace qaoaml::core {
@@ -136,8 +132,6 @@ std::vector<TableRow> aggregate_rows(const std::vector<Cell>& cells,
   return rows;
 }
 
-constexpr const char* kTable1Header = "qaoaml-table1-shard-v1";
-
 /// FNV-1a over the test-record indices: a compact test-set identity for
 /// the config line (the full list can be hundreds of entries).
 std::uint64_t test_set_hash(const std::vector<std::size_t>& test_records) {
@@ -149,86 +143,55 @@ std::uint64_t test_set_hash(const std::vector<std::size_t>& test_records) {
   return h;
 }
 
-/// The config line written to shard files; a full-line match is
-/// required on resume/merge, so any change of dataset, test set, sweep
-/// shape or optimizer options invalidates stale shards instead of
-/// silently mixing experiments.
-std::string table1_config_line(const ParameterDataset& dataset,
-                               const std::vector<std::size_t>& test_records,
-                               const ExperimentConfig& config,
-                               const ShardSpec& shard) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "config table1 dataset={" << to_string(dataset.config()) << "}"
-     << " tests=" << test_records.size() << ":" << test_set_hash(test_records)
-     << " optimizers=";
-  for (std::size_t i = 0; i < config.optimizers.size(); ++i) {
-    os << (i ? "," : "") << optim::to_string(config.optimizers[i]);
-  }
-  os << " depths=";
-  for (std::size_t i = 0; i < config.target_depths.size(); ++i) {
-    os << (i ? "," : "") << config.target_depths[i];
-  }
-  os << " naive_runs=" << config.naive_runs
-     << " ml_repeats=" << config.ml_repeats
-     << " ftol=" << config.options.ftol << " xtol=" << config.options.xtol
-     << " gtol=" << config.options.gtol
-     << " fd_step=" << config.options.fd_step
-     << " rho_begin=" << config.options.rho_begin
-     << " rho_end=" << config.options.rho_end
-     << " max_evals=" << config.options.max_evaluations
-     << " max_iters=" << config.options.max_iterations
-     << " seed=" << config.seed << ' ' << to_string(config.eval)
-     << " shard=" << shard.index << '/'
-     << shard.count;
-  return os.str();
-}
+/// Shard-file codec of the Table-I sweep (core/sharded_run.hpp): one
+/// (cell, graph) unit's per-graph means per line.
+struct Table1Codec {
+  using Record = GraphStats;
+  static constexpr const char* kHeader = "qaoaml-table1-shard-v1";
+  static constexpr const char* kStem = "table1";
 
-void write_unit_line(std::ostream& os, std::size_t unit,
-                     const GraphStats& g) {
-  os.precision(17);
-  os << "unit " << unit << ' ' << g.naive_ar << ' ' << g.naive_fc << ' '
-     << g.ml_ar << ' ' << g.ml_fc << '\n';
-}
+  const ParameterDataset& dataset;
+  const std::vector<std::size_t>& test_records;
+  const ExperimentConfig& config;
 
-/// The longest valid prefix of unit lines in a Table-I shard file.
-/// Units are one line each, so the only damage a kill can leave is a
-/// torn trailing line — anything after the first malformed,
-/// unterminated, out-of-order or foreign-unit line is discarded and
-/// regenerated.
-struct ParsedTable1Shard {
-  std::vector<std::size_t> units;   ///< ascending, owned
-  std::vector<GraphStats> stats;    ///< stats[i] is units[i]
-};
-
-ParsedTable1Shard parse_table1_shard(const std::string& path,
-                                     const std::string& config_line,
-                                     std::size_t total_units,
-                                     const ShardSpec& shard) {
-  ParsedTable1Shard out;
-  std::ifstream is(path);
-  if (!is.good()) return out;
-  std::string line;
-  if (!getline_complete(is, line) || line != kTable1Header) return out;
-  if (!getline_complete(is, line) || line != config_line) return out;
-  while (getline_complete(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    std::size_t unit = 0;
-    GraphStats g;
-    ls >> tag >> unit >> g.naive_ar >> g.naive_fc >> g.ml_ar >> g.ml_fc;
-    std::string trailing;
-    if (tag != "unit" || ls.fail() || (ls >> trailing, !trailing.empty()) ||
-        !shard.owns(unit) || unit >= total_units ||
-        (!out.units.empty() && unit <= out.units.back())) {
-      break;
+  /// A full-line match is required on resume/merge, so any change of
+  /// dataset, test set, sweep shape or optimizer options invalidates
+  /// stale shards instead of silently mixing experiments.
+  std::string config_line(const ShardSpec& shard) const {
+    std::ostringstream os;
+    os.precision(17);
+    os << "config table1 dataset={" << to_string(dataset.config()) << "}"
+       << " tests=" << test_records.size() << ":" << test_set_hash(test_records)
+       << " optimizers=";
+    for (std::size_t i = 0; i < config.optimizers.size(); ++i) {
+      os << (i ? "," : "") << optim::to_string(config.optimizers[i]);
     }
-    out.units.push_back(unit);
-    out.stats.push_back(g);
+    os << " depths=";
+    for (std::size_t i = 0; i < config.target_depths.size(); ++i) {
+      os << (i ? "," : "") << config.target_depths[i];
+    }
+    os << " naive_runs=" << config.naive_runs
+       << " ml_repeats=" << config.ml_repeats
+       << " ftol=" << config.options.ftol << " xtol=" << config.options.xtol
+       << " gtol=" << config.options.gtol
+       << " fd_step=" << config.options.fd_step
+       << " rho_begin=" << config.options.rho_begin
+       << " rho_end=" << config.options.rho_end
+       << " max_evals=" << config.options.max_evaluations
+       << " max_iters=" << config.options.max_iterations
+       << " seed=" << config.seed << ' ' << to_string(config.eval)
+       << " shard=" << shard.index << '/'
+       << shard.count;
+    return os.str();
   }
-  return out;
-}
+  static void write(std::ostream& os, const GraphStats& g) {
+    os << ' ' << g.naive_ar << ' ' << g.naive_fc << ' ' << g.ml_ar << ' '
+       << g.ml_fc;
+  }
+  static void read(std::istream& is, GraphStats& g) {
+    is >> g.naive_ar >> g.naive_fc >> g.ml_ar >> g.ml_fc;
+  }
+};
 
 }  // namespace
 
@@ -269,12 +232,7 @@ double average_fc_reduction(const std::vector<TableRow>& rows) {
 
 std::string table1_shard_path(const std::string& directory,
                               const ShardSpec& shard) {
-  require(shard.count >= 1 && shard.index >= 0 && shard.index < shard.count,
-          "table1_shard_path: invalid shard spec");
-  return (std::filesystem::path(directory) /
-          ("table1.shard" + std::to_string(shard.index) + "of" +
-           std::to_string(shard.count) + ".txt"))
-      .string();
+  return sharded_run_path(Table1Codec::kStem, directory, shard);
 }
 
 Table1ShardReport run_table1_shard(const ParameterDataset& dataset,
@@ -286,76 +244,13 @@ Table1ShardReport run_table1_shard(const ParameterDataset& dataset,
                                    const ShardProgressFn& progress) {
   require(predictor.trained(), "run_table1_shard: predictor not trained");
   validate_sweep(dataset, test_records, config);
-
-  Timer timer;
-  std::filesystem::create_directories(directory);
-
-  Table1ShardReport report;
-  report.data_path = table1_shard_path(directory, shard);
-
-  // Exclusive for the whole run, exactly like a corpus shard.
-  const FileLock lock(report.data_path + ".lock");
-
   const std::vector<Cell> cells = sweep_cells(config);
-  const std::size_t total = cells.size() * test_records.size();
-  const std::string config_line =
-      table1_config_line(dataset, test_records, config, shard);
-  const std::vector<std::size_t> owned = shard_units(total, shard);
-  report.units_owned = owned.size();
-
-  // Resume: the prefix of owned units already on disk under this exact
-  // config; rewrite the file down to it atomically, then stream the
-  // remaining units in order.
-  ParsedTable1Shard resumed =
-      parse_table1_shard(report.data_path, config_line, total, shard);
-  std::size_t resume_count = 0;
-  while (resume_count < resumed.units.size() &&
-         resumed.units[resume_count] == owned[resume_count]) {
-    ++resume_count;
-  }
-  report.units_resumed = resume_count;
-  if (progress) progress(resume_count, owned.size());
-
-  {
-    std::ostringstream prefix;
-    prefix << kTable1Header << '\n' << config_line << '\n';
-    for (std::size_t i = 0; i < resume_count; ++i) {
-      write_unit_line(prefix, resumed.units[i], resumed.stats[i]);
-    }
-    replace_file_atomic(report.data_path, prefix.str());
-  }
-  resumed = ParsedTable1Shard{};
-
-  std::ofstream data(report.data_path, std::ios::app);
-  require(data.good(),
-          "run_table1_shard: cannot open " + report.data_path);
-
-  const std::vector<std::size_t> pending(owned.begin() + resume_count,
-                                         owned.end());
-  std::vector<GraphStats> slots(pending.size());
-  // Commits are serialized, so the progress counter needs no lock.
-  std::size_t committed = resume_count;
-  run_units_in_order(
-      pending,
-      [&](std::size_t unit, std::size_t slot) {
-        slots[slot] =
-            compute_unit(dataset, test_records, predictor, config, cells, unit);
-      },
-      [&](std::size_t unit, std::size_t slot) {
-        write_unit_line(data, unit, slots[slot]);
-        data.flush();
-        // Fail fast on I/O errors: every remaining unit would otherwise
-        // keep burning CPU while its commits silently no-op.
-        require(data.good(),
-                "run_table1_shard: write failed at unit " +
-                    std::to_string(unit));
-        if (progress) progress(++committed, owned.size());
-      });
-  require(data.good(), "run_table1_shard: write failed");
-
-  report.units_generated = pending.size();
-  report.seconds = timer.seconds();
-  return report;
+  ShardedRun<Table1Codec> run(Table1Codec{dataset, test_records, config},
+                              shard, directory,
+                              cells.size() * test_records.size(), progress);
+  return run.generate([&](std::size_t unit) {
+    return compute_unit(dataset, test_records, predictor, config, cells, unit);
+  });
 }
 
 std::vector<TableRow> merge_table1_shards(
@@ -363,48 +258,13 @@ std::vector<TableRow> merge_table1_shards(
     const std::vector<std::size_t>& test_records,
     const ExperimentConfig& config, int shard_count,
     const std::string& directory) {
-  require(shard_count >= 1, "merge_table1_shards: need >= 1 shard");
   validate_sweep(dataset, test_records, config);
-
   const std::vector<Cell> cells = sweep_cells(config);
-  const std::size_t graphs = test_records.size();
-  const std::size_t total = cells.size() * graphs;
-  std::vector<GraphStats> per_unit(total);
-
-  for (int s = 0; s < shard_count; ++s) {
-    const ShardSpec shard{s, shard_count};
-    const std::string path = table1_shard_path(directory, shard);
-    const std::string config_line =
-        table1_config_line(dataset, test_records, config, shard);
-    const ParsedTable1Shard parsed =
-        parse_table1_shard(path, config_line, total, shard);
-    const std::vector<std::size_t> owned = shard_units(total, shard);
-    if (parsed.units.size() != owned.size()) {
-      // Distinguish "not done yet" from "done, but for a different
-      // sweep" — an operator who changed a flag between generation and
-      // merge should be told to fix the flag, not re-run the sweep.
-      std::ifstream probe(path);
-      std::string header;
-      std::string file_config;
-      if (probe.good() && std::getline(probe, header) &&
-          std::getline(probe, file_config) && file_config != config_line) {
-        throw InvalidArgument(
-            "merge_table1_shards: shard " + std::to_string(s) + "/" +
-            std::to_string(shard_count) +
-            " was generated with a different config (" + path + ")");
-      }
-      throw InvalidArgument(
-          "merge_table1_shards: shard " + std::to_string(s) + "/" +
-          std::to_string(shard_count) + " incomplete (" +
-          std::to_string(parsed.units.size()) + " of " +
-          std::to_string(owned.size()) + " units in " + path + ")");
-    }
-    for (std::size_t i = 0; i < parsed.units.size(); ++i) {
-      per_unit[parsed.units[i]] = parsed.stats[i];
-    }
-  }
-
-  return aggregate_rows(cells, graphs, per_unit);
+  return aggregate_rows(
+      cells, test_records.size(),
+      merge_sharded_runs(Table1Codec{dataset, test_records, config},
+                         shard_count, directory,
+                         cells.size() * test_records.size()));
 }
 
 }  // namespace qaoaml::core

@@ -10,7 +10,7 @@
 //    and scheduling order.
 //  - **Scheduling.**  The whole sweep is flattened into one
 //    asynchronous wave of (cell, graph) units on the persistent thread
-//    pool (core/corpus_pipeline.hpp's run_units_in_order) — there is no
+//    pool (core/sharded_run.hpp's run_units_in_order) — there is no
 //    barrier between table cells.  run_table1 must not be called from
 //    inside a parallel_* body.
 //  - **Units.**  FC counts are raw objective-function calls (the
@@ -79,13 +79,11 @@ double average_fc_reduction(const std::vector<TableRow>& rows);
 
 // ---------------------------------------------------------------------
 // Sharded Table-I: the sweep's flat (cell, graph) unit space split
-// round-robin across processes/machines via the same ShardSpec the
-// corpus pipeline uses, with the same checkpoint/resume contract —
-// per-shard result files, longest-valid-prefix resume after a kill,
-// and a deterministic merge that reproduces run_table1 bit for bit.
-// Unit results are streamed as single text lines (17 significant
-// digits, which round-trips doubles exactly), so a torn trailing line
-// is the only loss a kill can cause and it is simply regenerated.
+// round-robin across processes/machines and checkpointed by the
+// sharded-unit engine (core/sharded_run.hpp) — per-shard result files
+// in the qaoaml-table1-shard-v1 format, longest-valid-prefix resume
+// after a kill, and a deterministic merge that reproduces run_table1
+// bit for bit.
 //
 // The shard file's config line covers the dataset key, the test-record
 // set, and every ExperimentConfig field, so a stale shard (different
@@ -97,13 +95,7 @@ double average_fc_reduction(const std::vector<TableRow>& rows);
 // ---------------------------------------------------------------------
 
 /// What one run_table1_shard call did.
-struct Table1ShardReport {
-  std::size_t units_owned = 0;      ///< (cell, graph) units this shard owns
-  std::size_t units_resumed = 0;    ///< found complete on disk and skipped
-  std::size_t units_generated = 0;  ///< computed by this run
-  double seconds = 0.0;             ///< wall time of this run
-  std::string data_path;
-};
+using Table1ShardReport = ShardRunReport;
 
 /// Shard result-file location inside `directory`.
 std::string table1_shard_path(const std::string& directory,
@@ -111,13 +103,9 @@ std::string table1_shard_path(const std::string& directory,
 
 /// Computes (or resumes) one shard of the Table-I sweep: every owned
 /// (cell, graph) unit not already on disk is computed and streamed to
-/// the shard file in unit order.  Same operational guarantees as
-/// CorpusPipeline::run_shard: stale configs are discarded, a truncated
-/// trailing line is regenerated, prefix rewrites are atomic, and a
-/// flock sidecar makes concurrent duplicate invocations fail fast.
-/// `progress` (optional) follows the ShardProgressFn contract of
-/// core/corpus_pipeline.hpp: serialized (done, owned) calls after the
-/// resume scan and after every commit.
+/// the shard file in unit order, with the engine's resume, atomic
+/// rewrite and fail-fast lock guarantees.  `progress` (optional)
+/// follows the ShardProgressFn contract of core/sharded_run.hpp.
 Table1ShardReport run_table1_shard(const ParameterDataset& dataset,
                                    const std::vector<std::size_t>& test_records,
                                    const ParameterPredictor& predictor,

@@ -507,7 +507,12 @@ void Server::stop() {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     conns.swap(open_connections_);
   }
-  for (const auto& conn : conns) ::shutdown(conn->fd.get(), SHUT_RD);
+  for (const auto& conn : conns) {
+    // A finishing reader closes its fd under pending_mutex, and a closed
+    // fd's number may already belong to an unrelated socket.
+    std::lock_guard<std::mutex> lock(conn->pending_mutex);
+    if (conn->fd.valid()) ::shutdown(conn->fd.get(), SHUT_RD);
+  }
   // 3. Join readers: each drains its pending completions (the scheduler
   //    workers are still running) and flushes its last responses.
   for (const auto& conn : conns) {

@@ -1,14 +1,10 @@
 #include "core/transfer_experiment.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <numeric>
 #include <sstream>
 
-#include "common/checkpoint.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "core/two_level_solver.hpp"
 #include "stats/descriptive.hpp"
 
@@ -121,48 +117,78 @@ TransferUnitStats compute_warm(const TransferConfig& config,
   return out;
 }
 
-/// Banks indexed by train_family * models.size() + model.  Entries are
-/// only populated for the cells a run actually computes.
-using BankArray = std::vector<std::unique_ptr<ParameterPredictor>>;
+/// What a list of units needs before any of them runs: the banks of
+/// their cells (indexed by train_family * models.size() + model) and
+/// the cold baselines of their (eval family, instance) pairs (indexed
+/// by eval_family * eval_graphs + g).  Only those entries are filled.
+struct UnitInputs {
+  std::vector<std::unique_ptr<ParameterPredictor>> banks;
+  std::vector<ColdStats> cold;
+  std::size_t banks_trained = 0;
+};
 
-/// Trains the banks for every (train family, model) pair flagged in
-/// `needed`, generating each family's corpus once.  Sequential at the
-/// top level (corpus generation and GPR training parallelize
-/// internally); deterministic in the config.
-BankArray train_needed_banks(const TransferConfig& config,
-                             const std::vector<bool>& needed,
-                             std::size_t* banks_trained = nullptr) {
+/// Trains the needed banks — each family's corpus generated once,
+/// sequential at the top level (corpus generation and GPR training
+/// parallelize internally) — then computes the needed cold baselines
+/// as one parallel wave.  Deterministic in the config.
+UnitInputs prepare_units(const TransferConfig& config,
+                         const std::vector<CellKey>& cells,
+                         const std::vector<std::size_t>& units) {
+  const std::size_t graphs = static_cast<std::size_t>(config.eval_graphs);
   const std::size_t num_models = config.models.size();
-  BankArray banks(config.families.size() * num_models);
+  std::vector<bool> bank_needed(config.families.size() * num_models, false);
+  std::vector<bool> cold_needed(config.families.size() * graphs, false);
+  for (const std::size_t unit : units) {
+    const CellKey& cell = cells[unit / graphs];
+    bank_needed[cell.train * num_models + cell.model] = true;
+    cold_needed[cell.eval * graphs + unit % graphs] = true;
+  }
+
+  UnitInputs inputs;
+  inputs.banks.resize(bank_needed.size());
   for (std::size_t f = 0; f < config.families.size(); ++f) {
     bool family_needed = false;
     for (std::size_t m = 0; m < num_models; ++m) {
-      family_needed = family_needed || needed[f * num_models + m];
+      family_needed = family_needed || bank_needed[f * num_models + m];
     }
     if (!family_needed) continue;
     const ParameterDataset corpus =
         ParameterDataset::generate(transfer_corpus_config(config, f));
     for (std::size_t m = 0; m < num_models; ++m) {
-      if (!needed[f * num_models + m]) continue;
-      banks[f * num_models + m] = std::make_unique<ParameterPredictor>(
+      if (!bank_needed[f * num_models + m]) continue;
+      inputs.banks[f * num_models + m] = std::make_unique<ParameterPredictor>(
           train_transfer_bank(corpus, config.models[m]));
-      if (banks_trained != nullptr) ++*banks_trained;
+      ++inputs.banks_trained;
     }
   }
-  return banks;
+
+  std::vector<std::size_t> cold_pairs;
+  for (std::size_t pair = 0; pair < cold_needed.size(); ++pair) {
+    if (cold_needed[pair]) cold_pairs.push_back(pair);
+  }
+  inputs.cold.resize(cold_needed.size());
+  run_units_in_order(cold_pairs, [&](std::size_t pair, std::size_t) {
+    inputs.cold[pair] = compute_cold(config, pair / graphs, pair % graphs);
+  });
+  return inputs;
 }
 
-/// Cold baselines indexed by eval_family * eval_graphs + g, computed
-/// as one parallel wave over exactly the pairs in `pairs` (ascending).
-std::vector<ColdStats> compute_cold_wave(const TransferConfig& config,
-                                         const std::vector<std::size_t>& pairs) {
-  std::vector<ColdStats> cold(config.families.size() *
-                              static_cast<std::size_t>(config.eval_graphs));
-  run_units_in_order(pairs, [&](std::size_t pair, std::size_t) {
-    const std::size_t g_count = static_cast<std::size_t>(config.eval_graphs);
-    cold[pair] = compute_cold(config, pair / g_count, pair % g_count);
-  });
-  return cold;
+/// One (cell, instance) unit: the cell's warm arm plus the cold
+/// baseline its eval column shares.
+TransferUnitStats compute_unit(const TransferConfig& config,
+                               const std::vector<CellKey>& cells,
+                               const UnitInputs& inputs, std::size_t unit) {
+  const std::size_t graphs = static_cast<std::size_t>(config.eval_graphs);
+  const CellKey& cell = cells[unit / graphs];
+  const std::size_t g = unit % graphs;
+  TransferUnitStats u = compute_warm(
+      config, *inputs.banks[cell.train * config.models.size() + cell.model],
+      unit / graphs, cell.eval, g);
+  const ColdStats& base = inputs.cold[cell.eval * graphs + g];
+  u.cold_ar = base.ar;
+  u.cold_fc = base.fc;
+  u.cold_iters = base.iters;
+  return u;
 }
 
 /// Aggregates the flat per-unit stats into the per-cell matrix rows.
@@ -215,8 +241,6 @@ std::vector<TransferCell> aggregate_cells(
   return rows;
 }
 
-constexpr const char* kTransferHeader = "qaoaml-transfer-shard-v1";
-
 /// The sweep's config key: every knob that can change a single output
 /// bit.  Family entries reuse the ensemble config-key tokens, so any
 /// family knob change invalidates stale shards.
@@ -251,61 +275,30 @@ std::string transfer_config_key(const TransferConfig& config) {
   return os.str();
 }
 
-std::string transfer_shard_config_line(const TransferConfig& config,
-                                       const ShardSpec& shard) {
-  std::ostringstream os;
-  os << "config " << transfer_config_key(config) << " shard=" << shard.index
-     << '/' << shard.count;
-  return os.str();
-}
+/// Shard-file codec of the transfer sweep (core/sharded_run.hpp): one
+/// (cell, instance) unit's cold and warm arms per line.
+struct TransferCodec {
+  using Record = TransferUnitStats;
+  static constexpr const char* kHeader = "qaoaml-transfer-shard-v1";
+  static constexpr const char* kStem = "transfer";
 
-void write_unit_line(std::ostream& os, std::size_t unit,
-                     const TransferUnitStats& u) {
-  os.precision(17);
-  os << "unit " << unit << ' ' << u.cold_ar << ' ' << u.cold_fc << ' '
-     << u.cold_iters << ' ' << u.warm_ar << ' ' << u.warm_fc << ' '
-     << u.warm_iters << '\n';
-}
+  const TransferConfig& config;
 
-/// Longest valid prefix of unit lines in a transfer shard file — the
-/// same resume contract as the Table-I and corpus shards: one line per
-/// unit, so a kill can only tear the trailing line, and anything after
-/// the first malformed, unterminated, out-of-order or foreign-unit
-/// line is discarded and regenerated.
-struct ParsedTransferShard {
-  std::vector<std::size_t> units;       ///< ascending, owned
-  std::vector<TransferUnitStats> stats; ///< stats[i] is units[i]
-};
-
-ParsedTransferShard parse_transfer_shard(const std::string& path,
-                                         const std::string& config_line,
-                                         std::size_t total_units,
-                                         const ShardSpec& shard) {
-  ParsedTransferShard out;
-  std::ifstream is(path);
-  if (!is.good()) return out;
-  std::string line;
-  if (!getline_complete(is, line) || line != kTransferHeader) return out;
-  if (!getline_complete(is, line) || line != config_line) return out;
-  while (getline_complete(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    std::size_t unit = 0;
-    TransferUnitStats u;
-    ls >> tag >> unit >> u.cold_ar >> u.cold_fc >> u.cold_iters >> u.warm_ar >>
-        u.warm_fc >> u.warm_iters;
-    std::string trailing;
-    if (tag != "unit" || ls.fail() || (ls >> trailing, !trailing.empty()) ||
-        !shard.owns(unit) || unit >= total_units ||
-        (!out.units.empty() && unit <= out.units.back())) {
-      break;
-    }
-    out.units.push_back(unit);
-    out.stats.push_back(u);
+  std::string config_line(const ShardSpec& shard) const {
+    std::ostringstream os;
+    os << "config " << transfer_config_key(config) << " shard=" << shard.index
+       << '/' << shard.count;
+    return os.str();
   }
-  return out;
-}
+  static void write(std::ostream& os, const TransferUnitStats& u) {
+    os << ' ' << u.cold_ar << ' ' << u.cold_fc << ' ' << u.cold_iters << ' '
+       << u.warm_ar << ' ' << u.warm_fc << ' ' << u.warm_iters;
+  }
+  static void read(std::istream& is, TransferUnitStats& u) {
+    is >> u.cold_ar >> u.cold_fc >> u.cold_iters >> u.warm_ar >> u.warm_fc >>
+        u.warm_iters;
+  }
+};
 
 }  // namespace
 
@@ -384,35 +377,16 @@ ParameterPredictor train_transfer_bank(const ParameterDataset& corpus,
 std::vector<TransferCell> run_transfer(const TransferConfig& config) {
   validate(config);
   const std::vector<CellKey> cells = transfer_cells(config);
-  const std::size_t graphs = static_cast<std::size_t>(config.eval_graphs);
-  const std::size_t num_models = config.models.size();
-
-  // Train every bank (all cells run), then compute every cold baseline
-  // as one wave, then fan the warm arms out as one wave.
-  const std::vector<bool> all_needed(config.families.size() * num_models,
-                                     true);
-  const BankArray banks = train_needed_banks(config, all_needed);
-
-  std::vector<std::size_t> cold_pairs(config.families.size() * graphs);
-  std::iota(cold_pairs.begin(), cold_pairs.end(), std::size_t{0});
-  const std::vector<ColdStats> cold = compute_cold_wave(config, cold_pairs);
-
-  std::vector<TransferUnitStats> per_unit(cells.size() * graphs);
-  std::vector<std::size_t> units(per_unit.size());
+  // Train every bank and compute every cold baseline, then fan the
+  // warm arms out as one wave.
+  std::vector<std::size_t> units(cells.size() *
+                                 static_cast<std::size_t>(config.eval_graphs));
   std::iota(units.begin(), units.end(), std::size_t{0});
+  const UnitInputs inputs = prepare_units(config, cells, units);
+  std::vector<TransferUnitStats> per_unit(units.size());
   run_units_in_order(units, [&](std::size_t unit, std::size_t) {
-    const CellKey& cell = cells[unit / graphs];
-    const std::size_t g = unit % graphs;
-    TransferUnitStats u = compute_warm(
-        config, *banks[cell.train * num_models + cell.model], unit / graphs,
-        cell.eval, g);
-    const ColdStats& base = cold[cell.eval * graphs + g];
-    u.cold_ar = base.ar;
-    u.cold_fc = base.fc;
-    u.cold_iters = base.iters;
-    per_unit[unit] = u;
+    per_unit[unit] = compute_unit(config, cells, inputs, unit);
   });
-
   return aggregate_cells(config, cells, per_unit);
 }
 
@@ -434,12 +408,7 @@ void write_transfer_report(std::ostream& os, const TransferConfig& config,
 
 std::string transfer_shard_path(const std::string& directory,
                                 const ShardSpec& shard) {
-  require(shard.count >= 1 && shard.index >= 0 && shard.index < shard.count,
-          "transfer_shard_path: invalid shard spec");
-  return (std::filesystem::path(directory) /
-          ("transfer.shard" + std::to_string(shard.index) + "of" +
-           std::to_string(shard.count) + ".txt"))
-      .string();
+  return sharded_run_path(TransferCodec::kStem, directory, shard);
 }
 
 TransferShardReport run_transfer_shard(const TransferConfig& config,
@@ -447,153 +416,28 @@ TransferShardReport run_transfer_shard(const TransferConfig& config,
                                        const std::string& directory,
                                        const ShardProgressFn& progress) {
   validate(config);
-
-  Timer timer;
-  std::filesystem::create_directories(directory);
-
-  TransferShardReport report;
-  report.data_path = transfer_shard_path(directory, shard);
-
-  // Exclusive for the whole run, exactly like a corpus/Table-I shard.
-  const FileLock lock(report.data_path + ".lock");
-
   const std::vector<CellKey> cells = transfer_cells(config);
-  const std::size_t graphs = static_cast<std::size_t>(config.eval_graphs);
-  const std::size_t num_models = config.models.size();
-  const std::size_t total = cells.size() * graphs;
-  const std::string config_line = transfer_shard_config_line(config, shard);
-  const std::vector<std::size_t> owned = shard_units(total, shard);
-  report.units_owned = owned.size();
-
-  // Resume: keep the prefix of owned units already on disk under this
-  // exact config, rewrite the file down to it atomically, then stream
-  // the remaining units in order.
-  ParsedTransferShard resumed =
-      parse_transfer_shard(report.data_path, config_line, total, shard);
-  std::size_t resume_count = 0;
-  while (resume_count < resumed.units.size() &&
-         resumed.units[resume_count] == owned[resume_count]) {
-    ++resume_count;
-  }
-  report.units_resumed = resume_count;
-  if (progress) progress(resume_count, owned.size());
-
-  {
-    std::ostringstream prefix;
-    prefix << kTransferHeader << '\n' << config_line << '\n';
-    for (std::size_t i = 0; i < resume_count; ++i) {
-      write_unit_line(prefix, resumed.units[i], resumed.stats[i]);
-    }
-    replace_file_atomic(report.data_path, prefix.str());
-  }
-  resumed = ParsedTransferShard{};
-
-  const std::vector<std::size_t> pending(owned.begin() + resume_count,
-                                         owned.end());
-  report.units_generated = pending.size();
-  if (pending.empty()) {
-    report.seconds = timer.seconds();
-    return report;
-  }
-
-  // Train only the banks the pending units still need, and compute
-  // only the cold baselines they touch.
-  std::vector<bool> bank_needed(config.families.size() * num_models, false);
-  std::vector<bool> cold_needed(config.families.size() * graphs, false);
-  for (const std::size_t unit : pending) {
-    const CellKey& cell = cells[unit / graphs];
-    bank_needed[cell.train * num_models + cell.model] = true;
-    cold_needed[cell.eval * graphs + unit % graphs] = true;
-  }
-  const BankArray banks =
-      train_needed_banks(config, bank_needed, &report.banks_trained);
-  std::vector<std::size_t> cold_pairs;
-  for (std::size_t pair = 0; pair < cold_needed.size(); ++pair) {
-    if (cold_needed[pair]) cold_pairs.push_back(pair);
-  }
-  const std::vector<ColdStats> cold = compute_cold_wave(config, cold_pairs);
-
-  std::ofstream data(report.data_path, std::ios::app);
-  require(data.good(),
-          "run_transfer_shard: cannot open " + report.data_path);
-
-  std::vector<TransferUnitStats> slots(pending.size());
-  // Commits are serialized, so the progress counter needs no lock.
-  std::size_t committed = resume_count;
-  run_units_in_order(
-      pending,
-      [&](std::size_t unit, std::size_t slot) {
-        const CellKey& cell = cells[unit / graphs];
-        const std::size_t g = unit % graphs;
-        TransferUnitStats u = compute_warm(
-            config, *banks[cell.train * num_models + cell.model],
-            unit / graphs, cell.eval, g);
-        const ColdStats& base = cold[cell.eval * graphs + g];
-        u.cold_ar = base.ar;
-        u.cold_fc = base.fc;
-        u.cold_iters = base.iters;
-        slots[slot] = u;
-      },
-      [&](std::size_t unit, std::size_t slot) {
-        write_unit_line(data, unit, slots[slot]);
-        data.flush();
-        // Fail fast on I/O errors: every remaining unit would otherwise
-        // keep burning CPU while its commits silently no-op.
-        require(data.good(), "run_transfer_shard: write failed at unit " +
-                                 std::to_string(unit));
-        if (progress) progress(++committed, owned.size());
-      });
-  require(data.good(), "run_transfer_shard: write failed");
-
-  report.seconds = timer.seconds();
-  return report;
+  ShardedRun<TransferCodec> run(
+      TransferCodec{config}, shard, directory,
+      cells.size() * static_cast<std::size_t>(config.eval_graphs), progress);
+  const UnitInputs inputs = prepare_units(config, cells, run.pending());
+  return TransferShardReport{run.generate([&](std::size_t unit) {
+                               return compute_unit(config, cells, inputs,
+                                                   unit);
+                             }),
+                             inputs.banks_trained};
 }
 
 std::vector<TransferCell> merge_transfer_shards(const TransferConfig& config,
                                                 int shard_count,
                                                 const std::string& directory) {
-  require(shard_count >= 1, "merge_transfer_shards: need >= 1 shard");
   validate(config);
-
   const std::vector<CellKey> cells = transfer_cells(config);
-  const std::size_t graphs = static_cast<std::size_t>(config.eval_graphs);
-  const std::size_t total = cells.size() * graphs;
-  std::vector<TransferUnitStats> per_unit(total);
-
-  for (int s = 0; s < shard_count; ++s) {
-    const ShardSpec shard{s, shard_count};
-    const std::string path = transfer_shard_path(directory, shard);
-    const std::string config_line =
-        transfer_shard_config_line(config, shard);
-    const ParsedTransferShard parsed =
-        parse_transfer_shard(path, config_line, total, shard);
-    const std::vector<std::size_t> owned = shard_units(total, shard);
-    if (parsed.units.size() != owned.size()) {
-      // Distinguish "not done yet" from "done, but for a different
-      // sweep" — an operator who changed a flag between generation and
-      // merge should be told to fix the flag, not re-run the sweep.
-      std::ifstream probe(path);
-      std::string header;
-      std::string file_config;
-      if (probe.good() && std::getline(probe, header) &&
-          std::getline(probe, file_config) && file_config != config_line) {
-        throw InvalidArgument(
-            "merge_transfer_shards: shard " + std::to_string(s) + "/" +
-            std::to_string(shard_count) +
-            " was generated with a different config (" + path + ")");
-      }
-      throw InvalidArgument(
-          "merge_transfer_shards: shard " + std::to_string(s) + "/" +
-          std::to_string(shard_count) + " incomplete (" +
-          std::to_string(parsed.units.size()) + " of " +
-          std::to_string(owned.size()) + " units in " + path + ")");
-    }
-    for (std::size_t i = 0; i < parsed.units.size(); ++i) {
-      per_unit[parsed.units[i]] = parsed.stats[i];
-    }
-  }
-
-  return aggregate_cells(config, cells, per_unit);
+  return aggregate_cells(
+      config, cells,
+      merge_sharded_runs(
+          TransferCodec{config}, shard_count, directory,
+          cells.size() * static_cast<std::size_t>(config.eval_graphs)));
 }
 
 }  // namespace qaoaml::core

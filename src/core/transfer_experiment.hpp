@@ -31,18 +31,17 @@
 //    column is identical across every train family and model — cells
 //    in a column differ only by their warm arm, which is what makes
 //    the matrix comparable.
-//  - **Sharding.**  The flat (cell, eval instance) unit space splits
-//    round-robin over the same generic ShardSpec the corpus and
-//    Table-I pipelines use, with the same checkpoint/resume contract:
-//    per-shard single-line result files (17 significant digits — exact
-//    double round-trip), longest-valid-prefix resume after a kill,
-//    atomic prefix rewrites, a flock sidecar against duplicate
-//    invocations, and a merge that reproduces run_transfer bit for
-//    bit.  Each shard retrains the banks it needs from the config —
-//    deterministic training makes the bank part of the config, so
-//    "nothing is shared but the config" holds here too (and
-//    predictor-bank serialization in core/parameter_predictor.hpp
-//    covers the train-once/serve-many case outside this sweep).
+//  - **Sharding.**  The flat (cell, eval instance) unit space runs on
+//    the sharded-unit engine the Table-I sweep uses
+//    (core/sharded_run.hpp): per-shard single-line result files,
+//    longest-valid-prefix resume after a kill, atomic prefix rewrites,
+//    a flock sidecar against duplicate invocations, and a merge that
+//    reproduces run_transfer bit for bit.  Each shard retrains the
+//    banks it needs from the config — deterministic training makes the
+//    bank part of the config, so "nothing is shared but the config"
+//    holds here too (and predictor-bank serialization in
+//    core/parameter_predictor.hpp covers the train-once/serve-many case
+//    outside this sweep).
 //  - **Scheduling.**  Within a run, bank training happens first (it
 //    parallelizes internally), then all owned units fan out as one
 //    asynchronous wave (run_units_in_order).  Each shard computes the
@@ -162,18 +161,14 @@ void write_transfer_report(std::ostream& os, const TransferConfig& config,
                            const std::vector<TransferCell>& cells);
 
 // ---------------------------------------------------------------------
-// Sharded sweep (same operational contract as run_table1_shard /
-// CorpusPipeline::run_shard; see the header comment).
+// Sharded sweep, checkpointed by the sharded-unit engine
+// (core/sharded_run.hpp) in the qaoaml-transfer-shard-v1 format; see
+// the header comment.
 // ---------------------------------------------------------------------
 
 /// What one run_transfer_shard call did.
-struct TransferShardReport {
-  std::size_t units_owned = 0;      ///< (cell, instance) units owned
-  std::size_t units_resumed = 0;    ///< found complete on disk and skipped
-  std::size_t units_generated = 0;  ///< computed by this run
-  std::size_t banks_trained = 0;    ///< predictor banks this run trained
-  double seconds = 0.0;             ///< wall time of this run
-  std::string data_path;
+struct TransferShardReport : ShardRunReport {
+  std::size_t banks_trained = 0;  ///< predictor banks this run trained
 };
 
 /// Shard result-file location inside `directory`.
@@ -181,14 +176,11 @@ std::string transfer_shard_path(const std::string& directory,
                                 const ShardSpec& shard);
 
 /// Computes (or resumes) one shard of the transfer sweep.  Banks are
-/// retrained only for the cells that still have pending units, then
-/// every owned unit not already on disk is computed and streamed to
-/// the shard file in unit order.  Stale configs are discarded, a
-/// truncated trailing line is regenerated, prefix rewrites are atomic,
-/// and a flock sidecar makes concurrent duplicate invocations fail
-/// fast.  `progress` (optional) follows the ShardProgressFn contract
-/// of core/corpus_pipeline.hpp: serialized (done, owned) calls after
-/// the resume scan and after every commit.
+/// retrained and cold baselines computed only for the units still
+/// pending after the resume (nothing, when none are), then every
+/// pending unit is computed and streamed to the shard file in unit
+/// order.  `progress` (optional) follows the ShardProgressFn contract
+/// of core/sharded_run.hpp.
 TransferShardReport run_transfer_shard(const TransferConfig& config,
                                        const ShardSpec& shard,
                                        const std::string& directory,

@@ -304,13 +304,13 @@ TEST(Checkpoint, FileLockFailsFastWhenAnotherProcessHoldsIt) {
   const std::string path = (dir / "shard.lock").string();
   // The child takes the flock on its own fd 9, announces it, then
   // holds it until killed — exactly a concurrent duplicate shard
-  // invocation.  The sleep runs with fd 9 closed so the shell is the
-  // lock's ONLY holder (flock(1)'s command-mode forks the command with
-  // the lock fd inherited, which would keep the lock alive past the
-  // kill).
+  // invocation.  The shell execs the sleep, so the killed process is
+  // the lock's ONLY holder (a forked command would inherit fd 9 until
+  // its own redirection applied, and could keep the lock alive past
+  // the kill).
   Subprocess holder = Subprocess::spawn(
       {"/bin/sh", "-c",
-       "exec 9>\"$0\" && /usr/bin/flock -n 9 && echo held && sleep 30 9>&-",
+       "exec 9>\"$0\" && /usr/bin/flock -n 9 && echo held && exec sleep 30",
        path});
   std::string line;
   ASSERT_EQ(holder.read_line(line, 10000), Subprocess::ReadResult::kLine);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -68,6 +69,13 @@ struct PathCase {
   int depth;
   bool weighted;
 };
+
+// Without this, GoogleTest prints the raw bytes of a PathCase, padding
+// included, into the test names, and those bytes vary from run to run.
+void PrintTo(const PathCase& c, std::ostream* os) {
+  *os << "nodes=" << c.nodes << " edge_prob=" << c.edge_prob
+      << " depth=" << c.depth << " weighted=" << c.weighted;
+}
 
 class PathEquivalenceTest : public ::testing::TestWithParam<PathCase> {};
 

@@ -1,4 +1,4 @@
-// Tests for the graph substrate: structure, generators, MaxCut, IO.
+// Tests for the graph substrate: structure, generators, MaxCut.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/graph_io.hpp"
 #include "graph/maxcut.hpp"
 
 namespace qaoaml::graph {
@@ -204,34 +203,6 @@ TEST(MaxCut, TableMaxEqualsBruteForce) {
     const double table_max = *std::max_element(table.begin(), table.end());
     EXPECT_DOUBLE_EQ(table_max, max_cut_brute_force(g).value);
   }
-}
-
-TEST(GraphIO, EdgeListRoundTrips) {
-  Rng rng(11);
-  const Graph g = with_random_weights(erdos_renyi_gnp(7, 0.5, rng), 0.1, 3.0, rng);
-  const Graph back = from_edge_list(to_edge_list(g));
-  EXPECT_EQ(back.num_nodes(), g.num_nodes());
-  ASSERT_EQ(back.num_edges(), g.num_edges());
-  for (std::size_t i = 0; i < g.num_edges(); ++i) {
-    EXPECT_EQ(back.edges()[i].u, g.edges()[i].u);
-    EXPECT_EQ(back.edges()[i].v, g.edges()[i].v);
-    EXPECT_DOUBLE_EQ(back.edges()[i].weight, g.edges()[i].weight);
-  }
-}
-
-TEST(GraphIO, RejectsMalformedInput) {
-  EXPECT_THROW(from_edge_list("bogus"), InvalidArgument);
-  EXPECT_THROW(from_edge_list("n 3\n0 1 1.0\njunk"), InvalidArgument);
-}
-
-TEST(GraphIO, DotContainsAllEdges) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  const std::string dot = to_dot(g, "test");
-  EXPECT_NE(dot.find("graph test"), std::string::npos);
-  EXPECT_NE(dot.find("0 -- 1"), std::string::npos);
-  EXPECT_NE(dot.find("1 -- 2"), std::string::npos);
 }
 
 /// Property sweep: random graphs across sizes keep basic invariants.

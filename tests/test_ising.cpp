@@ -1,10 +1,14 @@
-// Tests for Ising models and diagonal Hamiltonians.
+// Tests for Ising models, diagonal Hamiltonians and the general Ising
+// QAOA ansatz.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/angles.hpp"
+#include "core/ising_qaoa.hpp"
+#include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxcut.hpp"
 #include "ising/diagonal_hamiltonian.hpp"
@@ -116,3 +120,80 @@ TEST(DiagonalHamiltonian, ArgmaxAchievesMaxValue) {
 
 }  // namespace
 }  // namespace qaoaml::ising
+
+namespace qaoaml {
+namespace {
+
+TEST(IsingQaoa, MatchesMaxCutQaoaOnUnweightedGraphs) {
+  // The general Ising ansatz on the MaxCut model must produce the same
+  // expectations as the dedicated MaxCut ansatz.
+  Rng rng(11);
+  const graph::Graph g = graph::random_regular(8, 3, rng);
+  const core::MaxCutQaoa maxcut(g, 3);
+  const core::IsingQaoa ising(ising::IsingModel::from_maxcut(g), 3);
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::vector<double> params = core::random_angles(3, rng);
+    EXPECT_NEAR(maxcut.expectation(params), ising.expectation(params), 1e-9);
+  }
+}
+
+TEST(IsingQaoa, GateAndFastPathsAgree) {
+  Rng rng(13);
+  ising::IsingModel model(5);
+  model.set_constant(1.0);
+  for (int i = 0; i < 5; ++i) model.set_field(i, rng.normal(0.0, 0.4));
+  model.add_coupling(0, 1, 0.8);
+  model.add_coupling(1, 3, -0.5);
+  model.add_coupling(2, 4, 0.3);
+  const core::IsingQaoa instance(model, 2);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::vector<double> params = core::random_angles(2, rng);
+    EXPECT_NEAR(instance.expectation(params),
+                instance.expectation_gate_level(params), 1e-10);
+  }
+}
+
+TEST(IsingQaoa, FieldsBreakTheCutSymmetry) {
+  // With a strong field on one spin, the optimal assignment pins it;
+  // QAOA must prefer states aligned with the field.
+  ising::IsingModel model(3);
+  model.set_field(0, 2.0);  // rewards s_0 = +1 (bit 0 = 0)
+  model.add_coupling(1, 2, -1.0);
+  const core::IsingQaoa instance(model, 2);
+  Rng rng(17);
+  double best = -1e300;
+  std::vector<double> best_params;
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::vector<double> params = core::random_angles(2, rng);
+    const double e = instance.expectation(params);
+    if (e > best) {
+      best = e;
+      best_params = params;
+    }
+  }
+  const quantum::Statevector sv = instance.state(best_params);
+  EXPECT_GT(sv.expectation_z(0), 0.0);  // field-aligned on average
+}
+
+TEST(IsingQaoa, ZeroAnglesGiveUniformAverage) {
+  ising::IsingModel model(4);
+  model.add_coupling(0, 2, 0.9);
+  model.set_field(3, 0.2);
+  const core::IsingQaoa instance(model, 1);
+  // Uniform state: <Z> = 0 for every spin, so only the constant remains.
+  const std::vector<double> zeros(2, 0.0);
+  EXPECT_NEAR(instance.expectation(zeros), model.constant(), 1e-10);
+}
+
+TEST(IsingQaoa, AnsatzSkipsZeroFields) {
+  ising::IsingModel model(3);
+  model.add_coupling(0, 1, 1.0);
+  const quantum::Circuit with_zero_fields = core::build_ising_ansatz(model, 1);
+  model.set_field(2, 0.5);
+  const quantum::Circuit with_field = core::build_ising_ansatz(model, 1);
+  EXPECT_EQ(with_field.count(quantum::GateKind::kRz),
+            with_zero_fields.count(quantum::GateKind::kRz) + 1);
+}
+
+}  // namespace
+}  // namespace qaoaml

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/eigen_sym.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
@@ -244,52 +243,6 @@ TEST(LU, PivotingHandlesZeroDiagonal) {
   const std::vector<double> x = solve(a, {2.0, 3.0});
   EXPECT_DOUBLE_EQ(x[0], 3.0);
   EXPECT_DOUBLE_EQ(x[1], 2.0);
-}
-
-TEST(EigenSym, DiagonalMatrixEigenvalues) {
-  Matrix d(3, 3);
-  d(0, 0) = 3.0;
-  d(1, 1) = 1.0;
-  d(2, 2) = 2.0;
-  const EigenSym eig = eigen_sym(d);
-  EXPECT_NEAR(eig.values[0], 1.0, 1e-12);
-  EXPECT_NEAR(eig.values[1], 2.0, 1e-12);
-  EXPECT_NEAR(eig.values[2], 3.0, 1e-12);
-}
-
-TEST(EigenSym, ReconstructsMatrix) {
-  Rng rng(31);
-  const Matrix a = random_spd(6, rng);
-  const EigenSym eig = eigen_sym(a);
-  // Rebuild V diag(lambda) V^T.
-  Matrix rebuilt(6, 6);
-  for (std::size_t k = 0; k < 6; ++k) {
-    for (std::size_t r = 0; r < 6; ++r) {
-      for (std::size_t c = 0; c < 6; ++c) {
-        rebuilt(r, c) += eig.values[k] * eig.vectors(r, k) * eig.vectors(c, k);
-      }
-    }
-  }
-  EXPECT_LT((a - rebuilt).max_abs(), 1e-8);
-}
-
-TEST(EigenSym, SpdMatrixHasPositiveEigenvalues) {
-  Rng rng(37);
-  const EigenSym eig = eigen_sym(random_spd(5, rng));
-  for (const double lambda : eig.values) EXPECT_GT(lambda, 0.0);
-}
-
-TEST(EigenSym, MakePositiveDefiniteFloorsSpectrum) {
-  const Matrix indefinite = Matrix::from_rows({{1.0, 2.0}, {2.0, 1.0}});
-  const Matrix fixed = make_positive_definite(indefinite, 0.1);
-  const EigenSym eig = eigen_sym(fixed);
-  for (const double lambda : eig.values) EXPECT_GE(lambda, 0.1 - 1e-9);
-  EXPECT_NO_THROW(Cholesky{fixed});
-}
-
-TEST(EigenSym, RejectsAsymmetric) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}, {0.0, 1.0}});
-  EXPECT_THROW(eigen_sym(a), InvalidArgument);
 }
 
 }  // namespace

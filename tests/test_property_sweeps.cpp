@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -73,6 +74,10 @@ struct FamilyCase {
   graph::Graph (*make)(int);
   int nodes;
 };
+
+// Without this, GoogleTest prints the raw bytes of a FamilyCase (pointers
+// that vary from run to run under ASLR, and padding) into the test names.
+void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.name; }
 
 class GraphFamilySweep : public ::testing::TestWithParam<FamilyCase> {};
 

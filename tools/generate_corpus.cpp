@@ -21,22 +21,12 @@
 //
 // Thread count comes from QAOAML_THREADS (default: hardware
 // concurrency); see docs/CONFIGURATION.md for every knob.
-#include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <functional>
-#include <iterator>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/env.hpp"
-#include "common/error.hpp"
-#include "common/shard_protocol.hpp"
-#include "common/timer.hpp"
+#include "common/shard_cli.hpp"
 #include "core/corpus_pipeline.hpp"
 
 namespace {
@@ -52,13 +42,7 @@ using qaoaml::core::ShardSpec;
 
 struct CliOptions {
   DatasetConfig dataset;
-  int shards = 1;
-  int shard = -1;          // -1: run every shard in this process
-  bool merge_only = false; // skip generation, only merge existing shards
-  bool no_merge = false;   // skip the merge step
-  bool progress_stream = false;  // emit the @qshard protocol on stdout
-  std::string directory = ".";
-  std::string out = "corpus.txt";  // merged dataset, relative to --dir
+  qaoaml::cli::ShardCli sharding{"generate_corpus"};
 };
 
 void print_usage() {
@@ -93,181 +77,104 @@ void print_usage() {
       "  --weight-sd F    gaussian weight std dev (default 0.25)\n"
       "  --neighbors K    small-world ring degree, even (default 2)\n"
       "  --rewire-prob F  small-world rewiring probability (default 0.25)\n"
-      "\n"
-      "sharding / output:\n"
-      "  --dir PATH       shard + manifest directory (default .)\n"
-      "  --shards N       total shard count (default 1)\n"
-      "  --shard K        run only shard K (default: all, sequentially)\n"
-      "  --merge-only     merge existing complete shards and exit\n"
-      "  --no-merge       generate without merging (for multi-process runs)\n"
+      "\n");
+  qaoaml::cli::ShardCli::print_usage(
       "  --out PATH       merged dataset file, relative to --dir\n"
-      "                   unless absolute (default corpus.txt)\n"
-      "  --progress-stream  emit the @qshard line protocol on stdout for\n"
-      "                   tools/launch (progress, heartbeats)\n"
-      "\n"
-      "QAOAML_THREADS controls worker threads; a killed run resumes from\n"
-      "the last committed unit when re-invoked with the same arguments.\n");
+      "                   unless absolute (default corpus.txt)\n");
 }
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
   // One table for every value-taking flag, so the known-flag check and
   // the setter cannot drift apart.  Setters return false on a
   // malformed value.
-  const std::pair<const char*, std::function<bool(const char*)>>
-      value_flags[] = {
-          {"--graphs",
-           [&](const char* v) { return to_int(v, options.dataset.num_graphs); }},
-          {"--nodes",
-           [&](const char* v) { return to_int(v, options.dataset.num_nodes); }},
-          {"--family",
-           [&](const char* v) {
-             options.dataset.ensemble.family =
-                 qaoaml::core::family_from_string(v);  // throws on typo
-             return true;
-           }},
-          {"--edge-prob",
-           [&](const char* v) {
-             return to_double(v, options.dataset.ensemble.edge_probability);
-           }},
-          {"--degree",
-           [&](const char* v) {
-             return to_int(v, options.dataset.ensemble.degree);
-           }},
-          {"--weight",
-           [&](const char* v) {
-             const std::string kind = v;
-             if (kind == "uniform") {
-               options.dataset.ensemble.weight =
-                   qaoaml::core::WeightKind::kUniform;
-             } else if (kind == "gaussian") {
-               options.dataset.ensemble.weight =
-                   qaoaml::core::WeightKind::kGaussian;
-             } else {
-               return false;
-             }
-             return true;
-           }},
-          {"--weight-low",
-           [&](const char* v) {
-             return to_double(v, options.dataset.ensemble.weight_low);
-           }},
-          {"--weight-high",
-           [&](const char* v) {
-             return to_double(v, options.dataset.ensemble.weight_high);
-           }},
-          {"--weight-mean",
-           [&](const char* v) {
-             return to_double(v, options.dataset.ensemble.weight_mean);
-           }},
-          {"--weight-sd",
-           [&](const char* v) {
-             return to_double(v, options.dataset.ensemble.weight_sd);
-           }},
-          {"--neighbors",
-           [&](const char* v) {
-             return to_int(v, options.dataset.ensemble.neighbors);
-           }},
-          {"--rewire-prob",
-           [&](const char* v) {
-             return to_double(v, options.dataset.ensemble.rewire_probability);
-           }},
-          {"--min-edges",
-           [&](const char* v) { return to_int(v, options.dataset.min_edges); }},
-          {"--depth",
-           [&](const char* v) { return to_int(v, options.dataset.max_depth); }},
-          {"--restarts",
-           [&](const char* v) { return to_int(v, options.dataset.restarts); }},
-          {"--optimizer",
-           [&](const char* v) {
-             options.dataset.optimizer =
-                 qaoaml::optim::optimizer_from_string(v);  // throws on typo
-             return true;
-           }},
-          {"--seed",
-           [&](const char* v) { return to_u64(v, options.dataset.seed); }},
-          {"--objective-mode",
-           [&](const char* v) {
-             options.dataset.eval.mode =
-                 qaoaml::core::objective_mode_from_string(v);  // throws
-             return true;
-           }},
-          {"--shots",
-           [&](const char* v) {
-             options.dataset.eval.mode = qaoaml::core::ObjectiveMode::kSampled;
-             return to_int(v, options.dataset.eval.shots);
-           }},
-          {"--shot-averaging",
-           [&](const char* v) {
-             return to_int(v, options.dataset.eval.averaging);
-           }},
-          {"--dir",
-           [&](const char* v) {
-             options.directory = v;
-             return true;
-           }},
-          {"--shards", [&](const char* v) { return to_int(v, options.shards); }},
-          {"--shard", [&](const char* v) { return to_int(v, options.shard); }},
-          {"--out",
-           [&](const char* v) {
-             options.out = v;
-             return true;
-           }},
-      };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      std::exit(0);
-    } else if (arg == "--merge-only") {
-      options.merge_only = true;
-    } else if (arg == "--no-merge") {
-      options.no_merge = true;
-    } else if (arg == "--progress-stream") {
-      options.progress_stream = true;
-    } else {
-      const auto* entry = std::find_if(
-          std::begin(value_flags), std::end(value_flags),
-          [&](const auto& flag) { return arg == flag.first; });
-      if (entry == std::end(value_flags)) {
-        std::fprintf(stderr, "generate_corpus: unknown option %s\n",
-                     arg.c_str());
-        return false;
-      }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "generate_corpus: %s needs a value\n",
-                     arg.c_str());
-        return false;
-      }
-      if (!entry->second(argv[++i])) {
-        std::fprintf(stderr, "generate_corpus: invalid value '%s' for %s\n",
-                     argv[i], arg.c_str());
-        return false;
-      }
-    }
-  }
-  if (options.merge_only && options.no_merge) {
-    std::fprintf(stderr,
-                 "generate_corpus: --merge-only and --no-merge conflict\n");
-    return false;
-  }
-  if (options.merge_only && options.shard != -1) {
-    std::fprintf(stderr,
-                 "generate_corpus: --merge-only merges every shard; "
-                 "--shard conflicts with it\n");
-    return false;
-  }
-  if (options.shards < 1) {
-    std::fprintf(stderr, "generate_corpus: --shards must be >= 1\n");
-    return false;
-  }
-  if (options.shard != -1 &&
-      (options.shard < 0 || options.shard >= options.shards)) {
-    std::fprintf(stderr,
-                 "generate_corpus: --shard must be in [0, --shards)\n");
-    return false;
-  }
-  return true;
+  const std::vector<qaoaml::cli::ValueFlag> value_flags = {
+      {"--graphs",
+       [&](const char* v) { return to_int(v, options.dataset.num_graphs); }},
+      {"--nodes",
+       [&](const char* v) { return to_int(v, options.dataset.num_nodes); }},
+      {"--family",
+       [&](const char* v) {
+         options.dataset.ensemble.family =
+             qaoaml::core::family_from_string(v);  // throws on typo
+         return true;
+       }},
+      {"--edge-prob",
+       [&](const char* v) {
+         return to_double(v, options.dataset.ensemble.edge_probability);
+       }},
+      {"--degree",
+       [&](const char* v) {
+         return to_int(v, options.dataset.ensemble.degree);
+       }},
+      {"--weight",
+       [&](const char* v) {
+         const std::string kind = v;
+         if (kind == "uniform") {
+           options.dataset.ensemble.weight =
+               qaoaml::core::WeightKind::kUniform;
+         } else if (kind == "gaussian") {
+           options.dataset.ensemble.weight =
+               qaoaml::core::WeightKind::kGaussian;
+         } else {
+           return false;
+         }
+         return true;
+       }},
+      {"--weight-low",
+       [&](const char* v) {
+         return to_double(v, options.dataset.ensemble.weight_low);
+       }},
+      {"--weight-high",
+       [&](const char* v) {
+         return to_double(v, options.dataset.ensemble.weight_high);
+       }},
+      {"--weight-mean",
+       [&](const char* v) {
+         return to_double(v, options.dataset.ensemble.weight_mean);
+       }},
+      {"--weight-sd",
+       [&](const char* v) {
+         return to_double(v, options.dataset.ensemble.weight_sd);
+       }},
+      {"--neighbors",
+       [&](const char* v) {
+         return to_int(v, options.dataset.ensemble.neighbors);
+       }},
+      {"--rewire-prob",
+       [&](const char* v) {
+         return to_double(v, options.dataset.ensemble.rewire_probability);
+       }},
+      {"--min-edges",
+       [&](const char* v) { return to_int(v, options.dataset.min_edges); }},
+      {"--depth",
+       [&](const char* v) { return to_int(v, options.dataset.max_depth); }},
+      {"--restarts",
+       [&](const char* v) { return to_int(v, options.dataset.restarts); }},
+      {"--optimizer",
+       [&](const char* v) {
+         options.dataset.optimizer =
+             qaoaml::optim::optimizer_from_string(v);  // throws on typo
+         return true;
+       }},
+      {"--seed",
+       [&](const char* v) { return to_u64(v, options.dataset.seed); }},
+      {"--objective-mode",
+       [&](const char* v) {
+         options.dataset.eval.mode =
+             qaoaml::core::objective_mode_from_string(v);  // throws
+         return true;
+       }},
+      {"--shots",
+       [&](const char* v) {
+         options.dataset.eval.mode = qaoaml::core::ObjectiveMode::kSampled;
+         return to_int(v, options.dataset.eval.shots);
+       }},
+      {"--shot-averaging",
+       [&](const char* v) {
+         return to_int(v, options.dataset.eval.averaging);
+       }},
+  };
+  return options.sharding.parse(argc, argv, value_flags, print_usage);
 }
 
 void print_report(const ShardReport& report, const ShardSpec& shard) {
@@ -283,71 +190,28 @@ void print_report(const ShardReport& report, const ShardSpec& shard) {
 
 int main(int argc, char** argv) {
   CliOptions options;
+  options.sharding.out = "corpus.txt";
   try {
     if (!parse_args(argc, argv, options)) {
       print_usage();
       return 2;
     }
 
-    // The protocol stream drives tools/launch's liveness detector, so
-    // it stays alive (heartbeats) even between unit commits.
-    std::FILE* stream = options.progress_stream ? stdout : nullptr;
-    const qaoaml::proto::HeartbeatEmitter heartbeat(
-        stream, qaoaml::env_double("QAOAML_HEARTBEAT_S", 1.0));
-
-    if (!options.merge_only) {
-      std::vector<int> to_run;
-      if (options.shard >= 0) {
-        to_run.push_back(options.shard);
-      } else {
-        for (int s = 0; s < options.shards; ++s) to_run.push_back(s);
-      }
-      for (const int s : to_run) {
-        CorpusShardConfig shard_config;
-        shard_config.dataset = options.dataset;
-        shard_config.shard = ShardSpec{s, options.shards};
-        shard_config.directory = options.directory;
-        qaoaml::proto::emit_start(stream, s, 0);
-        qaoaml::Timer timer;
-        std::size_t resumed_base = SIZE_MAX;
-        shard_config.progress = [&](std::size_t done, std::size_t total) {
-          if (resumed_base == SIZE_MAX) resumed_base = done;
-          const double elapsed = timer.seconds();
-          const double rate =
-              elapsed > 0.0
-                  ? static_cast<double>(done - resumed_base) / elapsed
-                  : 0.0;
-          qaoaml::proto::emit_progress(stream, done, total, rate);
-        };
-        const ShardReport report = CorpusPipeline::run_shard(shard_config);
-        qaoaml::proto::emit_done(stream, report.units_generated,
-                                 report.units_resumed, report.seconds);
-        print_report(report, shard_config.shard);
-      }
-      // A single-shard invocation of a multi-shard run leaves the merge
-      // to whoever sees all shards complete (--merge-only).  Say so —
-      // an operator who passed --out would otherwise wait for a merged
-      // file that was never going to be written.
-      if (options.shard >= 0 && options.shards > 1) {
-        if (!options.no_merge) {
-          // Only advise when the operator might have expected a merge;
-          // scripted runs pass --no-merge and want quiet output.
-          std::printf(
-              "merge skipped (ran only shard %d of %d); run --merge-only "
-              "once every shard is complete\n",
-              options.shard, options.shards);
-        }
-        return 0;
-      }
-    }
-
-    if (options.no_merge) return 0;
-    // fs::path join keeps an absolute --out unchanged and composes a
-    // relative one under --dir.
-    const std::string out =
-        (std::filesystem::path(options.directory) / options.out).string();
+    const qaoaml::cli::ShardCli& sharding = options.sharding;
+    const bool merge = sharding.run_shards([&](int s, const auto& progress) {
+      CorpusShardConfig shard_config;
+      shard_config.dataset = options.dataset;
+      shard_config.shard = ShardSpec{s, sharding.shards};
+      shard_config.directory = sharding.directory;
+      shard_config.progress = progress;
+      const ShardReport report = CorpusPipeline::run_shard(shard_config);
+      print_report(report, shard_config.shard);
+      return report;
+    });
+    if (!merge) return 0;
+    const std::string out = sharding.out_path();
     const auto merged = CorpusPipeline::merge_shards(
-        options.dataset, options.shards, options.directory, out);
+        options.dataset, sharding.shards, sharding.directory, out);
     std::printf("merged %zu instances (%zu optimal parameters) -> %s\n",
                 merged.size(), merged.total_parameter_count(), out.c_str());
   } catch (const std::exception& e) {

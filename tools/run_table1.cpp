@@ -22,27 +22,18 @@
 //
 // Thread count comes from QAOAML_THREADS; tools/launch drives the
 // multi-process form of this automatically.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <iomanip>
 #include <iostream>
-#include <iterator>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/env.hpp"
-#include "common/error.hpp"
-#include "common/shard_protocol.hpp"
+#include "common/shard_cli.hpp"
 #include "common/table.hpp"
-#include "common/timer.hpp"
 #include "core/experiment.hpp"
 #include "core/parameter_predictor.hpp"
 
@@ -54,7 +45,6 @@ using qaoaml::cli::to_int;
 using qaoaml::cli::to_u64;
 using qaoaml::core::ExperimentConfig;
 using qaoaml::core::ShardSpec;
-using qaoaml::core::Table1ShardReport;
 using qaoaml::core::TableRow;
 
 struct CliOptions {
@@ -63,13 +53,7 @@ struct CliOptions {
   double split_frac = 0.2;  // the paper's 20:80 train/test split
   std::uint64_t split_seed = 5;
   ExperimentConfig sweep;
-  int shards = 1;
-  int shard = -1;           // -1: run every shard in this process
-  bool merge_only = false;  // skip the sweep, only merge existing shards
-  bool no_merge = false;    // skip the merge step
-  bool progress_stream = false;  // emit the @qshard protocol on stdout
-  std::string directory = ".";
-  std::string out;          // machine-readable report, relative to --dir
+  qaoaml::cli::ShardCli sharding{"run_table1"};
 };
 
 void print_usage() {
@@ -113,170 +97,100 @@ void print_usage() {
       "                   implies --objective-mode sampled\n"
       "  --shot-averaging K  estimates averaged per objective call\n"
       "                   (default 1)\n"
-      "\n"
-      "sharding / output:\n"
-      "  --dir PATH       shard-file directory (default .)\n"
-      "  --shards N       total shard count (default 1)\n"
-      "  --shard K        run only shard K (default: all, sequentially)\n"
-      "  --merge-only     merge existing complete shards and exit\n"
-      "  --no-merge       sweep without merging (multi-process runs)\n"
+      "\n");
+  qaoaml::cli::ShardCli::print_usage(
       "  --out PATH       write the machine-readable report here (relative\n"
       "                   to --dir unless absolute); bytes are identical\n"
-      "                   for every shard/thread count\n"
-      "  --progress-stream  emit the @qshard line protocol on stdout for\n"
-      "                   tools/launch (progress, heartbeats)\n"
-      "\n"
-      "QAOAML_THREADS controls worker threads; a killed run resumes from\n"
-      "the last committed unit when re-invoked with the same arguments.\n");
+      "                   for every shard/thread count\n");
 }
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
-  const std::pair<const char*, std::function<bool(const char*)>>
-      value_flags[] = {
-          {"--corpus",
-           [&](const char* v) {
-             options.corpus = v;
-             return true;
-           }},
-          {"--graphs",
-           [&](const char* v) { return to_int(v, options.dataset.num_graphs); }},
-          {"--nodes",
-           [&](const char* v) { return to_int(v, options.dataset.num_nodes); }},
-          {"--min-edges",
-           [&](const char* v) { return to_int(v, options.dataset.min_edges); }},
-          {"--depth",
-           [&](const char* v) { return to_int(v, options.dataset.max_depth); }},
-          {"--restarts",
-           [&](const char* v) { return to_int(v, options.dataset.restarts); }},
-          {"--corpus-seed",
-           [&](const char* v) { return to_u64(v, options.dataset.seed); }},
-          {"--family",
-           [&](const char* v) {
-             options.dataset.ensemble.family =
-                 qaoaml::core::family_from_string(v);  // throws on typo
-             return true;
-           }},
-          {"--edge-prob",
-           [&](const char* v) {
-             return to_double(v, options.dataset.ensemble.edge_probability);
-           }},
-          {"--degree",
-           [&](const char* v) {
-             return to_int(v, options.dataset.ensemble.degree);
-           }},
-          {"--neighbors",
-           [&](const char* v) {
-             return to_int(v, options.dataset.ensemble.neighbors);
-           }},
-          {"--rewire-prob",
-           [&](const char* v) {
-             return to_double(v, options.dataset.ensemble.rewire_probability);
-           }},
-          {"--split-frac",
-           [&](const char* v) { return to_double(v, options.split_frac); }},
-          {"--split-seed",
-           [&](const char* v) { return to_u64(v, options.split_seed); }},
-          {"--optimizers",
-           [&](const char* v) {
-             options.sweep.optimizers.clear();
-             for (const std::string& name : split_list(v)) {
-               options.sweep.optimizers.push_back(
-                   qaoaml::optim::optimizer_from_string(name));  // throws
-             }
-             return !options.sweep.optimizers.empty();
-           }},
-          {"--depths",
-           [&](const char* v) {
-             options.sweep.target_depths.clear();
-             for (const std::string& item : split_list(v)) {
-               int depth = 0;
-               if (!to_int(item.c_str(), depth)) return false;
-               options.sweep.target_depths.push_back(depth);
-             }
-             return !options.sweep.target_depths.empty();
-           }},
-          {"--naive-runs",
-           [&](const char* v) { return to_int(v, options.sweep.naive_runs); }},
-          {"--ml-repeats",
-           [&](const char* v) { return to_int(v, options.sweep.ml_repeats); }},
-          {"--seed",
-           [&](const char* v) { return to_u64(v, options.sweep.seed); }},
-          {"--objective-mode",
-           [&](const char* v) {
-             options.sweep.eval.mode =
-                 qaoaml::core::objective_mode_from_string(v);  // throws
-             return true;
-           }},
-          {"--shots",
-           [&](const char* v) {
-             options.sweep.eval.mode = qaoaml::core::ObjectiveMode::kSampled;
-             return to_int(v, options.sweep.eval.shots);
-           }},
-          {"--shot-averaging",
-           [&](const char* v) {
-             return to_int(v, options.sweep.eval.averaging);
-           }},
-          {"--dir",
-           [&](const char* v) {
-             options.directory = v;
-             return true;
-           }},
-          {"--shards", [&](const char* v) { return to_int(v, options.shards); }},
-          {"--shard", [&](const char* v) { return to_int(v, options.shard); }},
-          {"--out",
-           [&](const char* v) {
-             options.out = v;
-             return true;
-           }},
-      };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      std::exit(0);
-    } else if (arg == "--merge-only") {
-      options.merge_only = true;
-    } else if (arg == "--no-merge") {
-      options.no_merge = true;
-    } else if (arg == "--progress-stream") {
-      options.progress_stream = true;
-    } else {
-      const auto* entry = std::find_if(
-          std::begin(value_flags), std::end(value_flags),
-          [&](const auto& flag) { return arg == flag.first; });
-      if (entry == std::end(value_flags)) {
-        std::fprintf(stderr, "run_table1: unknown option %s\n", arg.c_str());
-        return false;
-      }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "run_table1: %s needs a value\n", arg.c_str());
-        return false;
-      }
-      if (!entry->second(argv[++i])) {
-        std::fprintf(stderr, "run_table1: invalid value '%s' for %s\n",
-                     argv[i], arg.c_str());
-        return false;
-      }
-    }
-  }
-  if (options.merge_only && options.no_merge) {
-    std::fprintf(stderr, "run_table1: --merge-only and --no-merge conflict\n");
-    return false;
-  }
-  if (options.merge_only && options.shard != -1) {
-    std::fprintf(stderr,
-                 "run_table1: --merge-only merges every shard; --shard "
-                 "conflicts with it\n");
-    return false;
-  }
-  if (options.shards < 1) {
-    std::fprintf(stderr, "run_table1: --shards must be >= 1\n");
-    return false;
-  }
-  if (options.shard != -1 &&
-      (options.shard < 0 || options.shard >= options.shards)) {
-    std::fprintf(stderr, "run_table1: --shard must be in [0, --shards)\n");
+  const std::vector<qaoaml::cli::ValueFlag> value_flags = {
+      {"--corpus",
+       [&](const char* v) {
+         options.corpus = v;
+         return true;
+       }},
+      {"--graphs",
+       [&](const char* v) { return to_int(v, options.dataset.num_graphs); }},
+      {"--nodes",
+       [&](const char* v) { return to_int(v, options.dataset.num_nodes); }},
+      {"--min-edges",
+       [&](const char* v) { return to_int(v, options.dataset.min_edges); }},
+      {"--depth",
+       [&](const char* v) { return to_int(v, options.dataset.max_depth); }},
+      {"--restarts",
+       [&](const char* v) { return to_int(v, options.dataset.restarts); }},
+      {"--corpus-seed",
+       [&](const char* v) { return to_u64(v, options.dataset.seed); }},
+      {"--family",
+       [&](const char* v) {
+         options.dataset.ensemble.family =
+             qaoaml::core::family_from_string(v);  // throws on typo
+         return true;
+       }},
+      {"--edge-prob",
+       [&](const char* v) {
+         return to_double(v, options.dataset.ensemble.edge_probability);
+       }},
+      {"--degree",
+       [&](const char* v) {
+         return to_int(v, options.dataset.ensemble.degree);
+       }},
+      {"--neighbors",
+       [&](const char* v) {
+         return to_int(v, options.dataset.ensemble.neighbors);
+       }},
+      {"--rewire-prob",
+       [&](const char* v) {
+         return to_double(v, options.dataset.ensemble.rewire_probability);
+       }},
+      {"--split-frac",
+       [&](const char* v) { return to_double(v, options.split_frac); }},
+      {"--split-seed",
+       [&](const char* v) { return to_u64(v, options.split_seed); }},
+      {"--optimizers",
+       [&](const char* v) {
+         options.sweep.optimizers.clear();
+         for (const std::string& name : split_list(v)) {
+           options.sweep.optimizers.push_back(
+               qaoaml::optim::optimizer_from_string(name));  // throws
+         }
+         return !options.sweep.optimizers.empty();
+       }},
+      {"--depths",
+       [&](const char* v) {
+         options.sweep.target_depths.clear();
+         for (const std::string& item : split_list(v)) {
+           int depth = 0;
+           if (!to_int(item.c_str(), depth)) return false;
+           options.sweep.target_depths.push_back(depth);
+         }
+         return !options.sweep.target_depths.empty();
+       }},
+      {"--naive-runs",
+       [&](const char* v) { return to_int(v, options.sweep.naive_runs); }},
+      {"--ml-repeats",
+       [&](const char* v) { return to_int(v, options.sweep.ml_repeats); }},
+      {"--seed",
+       [&](const char* v) { return to_u64(v, options.sweep.seed); }},
+      {"--objective-mode",
+       [&](const char* v) {
+         options.sweep.eval.mode =
+             qaoaml::core::objective_mode_from_string(v);  // throws
+         return true;
+       }},
+      {"--shots",
+       [&](const char* v) {
+         options.sweep.eval.mode = qaoaml::core::ObjectiveMode::kSampled;
+         return to_int(v, options.sweep.eval.shots);
+       }},
+      {"--shot-averaging",
+       [&](const char* v) {
+         return to_int(v, options.sweep.eval.averaging);
+       }},
+  };
+  if (!options.sharding.parse(argc, argv, value_flags, print_usage)) {
     return false;
   }
   if (!(options.split_frac > 0.0 && options.split_frac < 1.0)) {
@@ -300,7 +214,8 @@ Harness build_harness(const CliOptions& options) {
   Harness h;
   if (!options.corpus.empty()) {
     const std::string path =
-        (std::filesystem::path(options.directory) / options.corpus).string();
+        (std::filesystem::path(options.sharding.directory) / options.corpus)
+            .string();
     h.dataset = qaoaml::core::ParameterDataset::load(path);
   } else {
     h.dataset = qaoaml::core::ParameterDataset::generate(options.dataset);
@@ -359,75 +274,29 @@ int main(int argc, char** argv) {
       print_usage();
       return 2;
     }
-    // The protocol stream drives tools/launch's liveness detector, so
-    // it stays alive (heartbeats) even while corpus generation or bank
-    // training keeps the shard loop from committing units.
-    std::FILE* stream = options.progress_stream ? stdout : nullptr;
-    const qaoaml::proto::HeartbeatEmitter heartbeat(
-        stream, qaoaml::env_double("QAOAML_HEARTBEAT_S", 1.0));
-
     // One harness serves both phases: the shard runs need the trained
     // predictor, the merge re-derives the same dataset + test split to
     // key the shard files.
     const Harness h = build_harness(options);
+    const qaoaml::cli::ShardCli& sharding = options.sharding;
 
-    if (!options.merge_only) {
-      std::vector<int> to_run;
-      if (options.shard >= 0) {
-        to_run.push_back(options.shard);
-      } else {
-        for (int s = 0; s < options.shards; ++s) to_run.push_back(s);
-      }
-      for (const int s : to_run) {
-        const ShardSpec shard{s, options.shards};
-        qaoaml::proto::emit_start(stream, s, 0);
-        qaoaml::Timer timer;
-        std::size_t resumed_base = SIZE_MAX;
-        const Table1ShardReport report = qaoaml::core::run_table1_shard(
-            h.dataset, h.test, h.predictor, options.sweep, shard,
-            options.directory,
-            [&](std::size_t done, std::size_t total) {
-              if (resumed_base == SIZE_MAX) resumed_base = done;
-              const double elapsed = timer.seconds();
-              const double rate =
-                  elapsed > 0.0
-                      ? static_cast<double>(done - resumed_base) / elapsed
-                      : 0.0;
-              qaoaml::proto::emit_progress(stream, done, total, rate);
-            });
-        qaoaml::proto::emit_done(stream, report.units_generated,
-                                 report.units_resumed, report.seconds);
-        std::printf("shard %d/%d: %zu units (%zu resumed, %zu generated) in "
-                    "%.2f s\n  data %s\n",
-                    s, options.shards, report.units_owned,
-                    report.units_resumed, report.units_generated,
-                    report.seconds, report.data_path.c_str());
-      }
-      if (options.shard >= 0 && options.shards > 1) {
-        if (!options.no_merge) {
-          std::printf(
-              "merge skipped (ran only shard %d of %d); run --merge-only "
-              "once every shard is complete\n",
-              options.shard, options.shards);
-        }
-        return 0;
-      }
-    }
-
-    if (options.no_merge) return 0;
+    const bool merge = sharding.run_shards([&](int s, const auto& progress) {
+      const auto report = qaoaml::core::run_table1_shard(
+          h.dataset, h.test, h.predictor, options.sweep,
+          ShardSpec{s, sharding.shards}, sharding.directory, progress);
+      std::printf("shard %d/%d: %zu units (%zu resumed, %zu generated) in "
+                  "%.2f s\n  data %s\n",
+                  s, sharding.shards, report.units_owned, report.units_resumed,
+                  report.units_generated, report.seconds,
+                  report.data_path.c_str());
+      return report;
+    });
+    if (!merge) return 0;
     const std::vector<TableRow> rows = qaoaml::core::merge_table1_shards(
-        h.dataset, h.test, options.sweep, options.shards, options.directory);
+        h.dataset, h.test, options.sweep, sharding.shards,
+        sharding.directory);
     print_rows(rows);
-    if (!options.out.empty()) {
-      const std::string out_path =
-          (std::filesystem::path(options.directory) / options.out).string();
-      std::ofstream os(out_path);
-      qaoaml::require(os.good(), "run_table1: cannot open " + out_path);
-      write_report(os, rows);
-      os.flush();  // surface buffered write failures here, not in ~ofstream
-      qaoaml::require(os.good(), "run_table1: write failed: " + out_path);
-      std::printf("report -> %s\n", out_path.c_str());
-    }
+    sharding.write_out([&](std::ostream& os) { write_report(os, rows); });
   } catch (const std::exception& e) {
     std::fprintf(stderr, "run_table1: %s\n", e.what());
     return 1;

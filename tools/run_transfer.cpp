@@ -21,25 +21,14 @@
 //
 // Thread count comes from QAOAML_THREADS; docs/EXPERIMENTS.md walks
 // through the full protocol.
-#include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <functional>
 #include <iostream>
-#include <iterator>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/env.hpp"
-#include "common/error.hpp"
-#include "common/shard_protocol.hpp"
+#include "common/shard_cli.hpp"
 #include "common/table.hpp"
-#include "common/timer.hpp"
 #include "core/transfer_experiment.hpp"
 
 namespace {
@@ -50,17 +39,10 @@ using qaoaml::cli::to_u64;
 using qaoaml::core::ShardSpec;
 using qaoaml::core::TransferCell;
 using qaoaml::core::TransferConfig;
-using qaoaml::core::TransferShardReport;
 
 struct CliOptions {
   TransferConfig transfer;
-  int shards = 1;
-  int shard = -1;          // -1: run every shard in this process
-  bool merge_only = false; // skip generation, only merge existing shards
-  bool no_merge = false;   // skip the merge step
-  bool progress_stream = false;  // emit the @qshard protocol on stdout
-  std::string directory = ".";
-  std::string out;         // machine-readable report, relative to --dir
+  qaoaml::cli::ShardCli sharding{"run_transfer"};
 };
 
 void print_usage() {
@@ -95,162 +77,89 @@ void print_usage() {
       "  --shots N            shots per estimate (default 1024); implies\n"
       "                       --objective-mode sampled\n"
       "  --shot-averaging K   estimates averaged per objective call\n"
-      "\n"
-      "sharding / output:\n"
-      "  --dir PATH       shard-file directory (default .)\n"
-      "  --shards N       total shard count (default 1)\n"
-      "  --shard K        run only shard K (default: all, sequentially)\n"
-      "  --merge-only     merge existing complete shards and exit\n"
-      "  --no-merge       generate without merging (multi-process runs)\n"
+      "\n");
+  qaoaml::cli::ShardCli::print_usage(
       "  --out PATH       write the machine-readable report here (relative\n"
       "                   to --dir unless absolute); bytes are identical\n"
-      "                   for every shard/thread count\n"
-      "  --progress-stream  emit the @qshard line protocol on stdout for\n"
-      "                   tools/launch (progress, heartbeats)\n"
-      "\n"
-      "QAOAML_THREADS controls worker threads; a killed run resumes from\n"
-      "the last committed unit when re-invoked with the same arguments.\n");
+      "                   for every shard/thread count\n");
 }
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
-  const std::pair<const char*, std::function<bool(const char*)>>
-      value_flags[] = {
-          {"--families",
-           [&](const char* v) {
-             options.transfer.families.clear();
-             for (const std::string& name : split_list(v)) {
-               qaoaml::core::EnsembleConfig ensemble;
-               ensemble.family =
-                   qaoaml::core::family_from_string(name);  // throws on typo
-               options.transfer.families.push_back(ensemble);
-             }
-             return !options.transfer.families.empty();
-           }},
-          {"--models",
-           [&](const char* v) {
-             options.transfer.models.clear();
-             for (const std::string& name : split_list(v)) {
-               options.transfer.models.push_back(
-                   qaoaml::ml::regressor_from_string(name));  // throws on typo
-             }
-             return !options.transfer.models.empty();
-           }},
-          {"--nodes",
-           [&](const char* v) { return to_int(v, options.transfer.num_nodes); }},
-          {"--train-graphs",
-           [&](const char* v) {
-             return to_int(v, options.transfer.train_graphs);
-           }},
-          {"--depth",
-           [&](const char* v) { return to_int(v, options.transfer.max_depth); }},
-          {"--corpus-restarts",
-           [&](const char* v) {
-             return to_int(v, options.transfer.corpus_restarts);
-           }},
-          {"--eval-graphs",
-           [&](const char* v) {
-             return to_int(v, options.transfer.eval_graphs);
-           }},
-          {"--target-depth",
-           [&](const char* v) {
-             return to_int(v, options.transfer.target_depth);
-           }},
-          {"--cold-restarts",
-           [&](const char* v) {
-             return to_int(v, options.transfer.cold_restarts);
-           }},
-          {"--warm-repeats",
-           [&](const char* v) {
-             return to_int(v, options.transfer.warm_repeats);
-           }},
-          {"--optimizer",
-           [&](const char* v) {
-             options.transfer.optimizer =
-                 qaoaml::optim::optimizer_from_string(v);  // throws on typo
-             return true;
-           }},
-          {"--seed",
-           [&](const char* v) { return to_u64(v, options.transfer.seed); }},
-          {"--objective-mode",
-           [&](const char* v) {
-             options.transfer.eval.mode =
-                 qaoaml::core::objective_mode_from_string(v);  // throws
-             return true;
-           }},
-          {"--shots",
-           [&](const char* v) {
-             options.transfer.eval.mode =
-                 qaoaml::core::ObjectiveMode::kSampled;
-             return to_int(v, options.transfer.eval.shots);
-           }},
-          {"--shot-averaging",
-           [&](const char* v) {
-             return to_int(v, options.transfer.eval.averaging);
-           }},
-          {"--dir",
-           [&](const char* v) {
-             options.directory = v;
-             return true;
-           }},
-          {"--shards", [&](const char* v) { return to_int(v, options.shards); }},
-          {"--shard", [&](const char* v) { return to_int(v, options.shard); }},
-          {"--out",
-           [&](const char* v) {
-             options.out = v;
-             return true;
-           }},
-      };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage();
-      std::exit(0);
-    } else if (arg == "--merge-only") {
-      options.merge_only = true;
-    } else if (arg == "--no-merge") {
-      options.no_merge = true;
-    } else if (arg == "--progress-stream") {
-      options.progress_stream = true;
-    } else {
-      const auto* entry = std::find_if(
-          std::begin(value_flags), std::end(value_flags),
-          [&](const auto& flag) { return arg == flag.first; });
-      if (entry == std::end(value_flags)) {
-        std::fprintf(stderr, "run_transfer: unknown option %s\n", arg.c_str());
-        return false;
-      }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "run_transfer: %s needs a value\n", arg.c_str());
-        return false;
-      }
-      if (!entry->second(argv[++i])) {
-        std::fprintf(stderr, "run_transfer: invalid value '%s' for %s\n",
-                     argv[i], arg.c_str());
-        return false;
-      }
-    }
-  }
-  if (options.merge_only && options.no_merge) {
-    std::fprintf(stderr, "run_transfer: --merge-only and --no-merge conflict\n");
-    return false;
-  }
-  if (options.merge_only && options.shard != -1) {
-    std::fprintf(stderr,
-                 "run_transfer: --merge-only merges every shard; --shard "
-                 "conflicts with it\n");
-    return false;
-  }
-  if (options.shards < 1) {
-    std::fprintf(stderr, "run_transfer: --shards must be >= 1\n");
-    return false;
-  }
-  if (options.shard != -1 &&
-      (options.shard < 0 || options.shard >= options.shards)) {
-    std::fprintf(stderr, "run_transfer: --shard must be in [0, --shards)\n");
-    return false;
-  }
-  return true;
+  const std::vector<qaoaml::cli::ValueFlag> value_flags = {
+      {"--families",
+       [&](const char* v) {
+         options.transfer.families.clear();
+         for (const std::string& name : split_list(v)) {
+           qaoaml::core::EnsembleConfig ensemble;
+           ensemble.family =
+               qaoaml::core::family_from_string(name);  // throws on typo
+           options.transfer.families.push_back(ensemble);
+         }
+         return !options.transfer.families.empty();
+       }},
+      {"--models",
+       [&](const char* v) {
+         options.transfer.models.clear();
+         for (const std::string& name : split_list(v)) {
+           options.transfer.models.push_back(
+               qaoaml::ml::regressor_from_string(name));  // throws on typo
+         }
+         return !options.transfer.models.empty();
+       }},
+      {"--nodes",
+       [&](const char* v) { return to_int(v, options.transfer.num_nodes); }},
+      {"--train-graphs",
+       [&](const char* v) {
+         return to_int(v, options.transfer.train_graphs);
+       }},
+      {"--depth",
+       [&](const char* v) { return to_int(v, options.transfer.max_depth); }},
+      {"--corpus-restarts",
+       [&](const char* v) {
+         return to_int(v, options.transfer.corpus_restarts);
+       }},
+      {"--eval-graphs",
+       [&](const char* v) {
+         return to_int(v, options.transfer.eval_graphs);
+       }},
+      {"--target-depth",
+       [&](const char* v) {
+         return to_int(v, options.transfer.target_depth);
+       }},
+      {"--cold-restarts",
+       [&](const char* v) {
+         return to_int(v, options.transfer.cold_restarts);
+       }},
+      {"--warm-repeats",
+       [&](const char* v) {
+         return to_int(v, options.transfer.warm_repeats);
+       }},
+      {"--optimizer",
+       [&](const char* v) {
+         options.transfer.optimizer =
+             qaoaml::optim::optimizer_from_string(v);  // throws on typo
+         return true;
+       }},
+      {"--seed",
+       [&](const char* v) { return to_u64(v, options.transfer.seed); }},
+      {"--objective-mode",
+       [&](const char* v) {
+         options.transfer.eval.mode =
+             qaoaml::core::objective_mode_from_string(v);  // throws
+         return true;
+       }},
+      {"--shots",
+       [&](const char* v) {
+         options.transfer.eval.mode =
+             qaoaml::core::ObjectiveMode::kSampled;
+         return to_int(v, options.transfer.eval.shots);
+       }},
+      {"--shot-averaging",
+       [&](const char* v) {
+         return to_int(v, options.transfer.eval.averaging);
+       }},
+  };
+  return options.sharding.parse(argc, argv, value_flags, print_usage);
 }
 
 void print_matrix(const TransferConfig& config,
@@ -285,70 +194,26 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    // The protocol stream drives tools/launch's liveness detector, so
-    // it stays alive (heartbeats) even while bank training keeps the
-    // shard loop from committing units.
-    std::FILE* stream = options.progress_stream ? stdout : nullptr;
-    const qaoaml::proto::HeartbeatEmitter heartbeat(
-        stream, qaoaml::env_double("QAOAML_HEARTBEAT_S", 1.0));
-
-    if (!options.merge_only) {
-      std::vector<int> to_run;
-      if (options.shard >= 0) {
-        to_run.push_back(options.shard);
-      } else {
-        for (int s = 0; s < options.shards; ++s) to_run.push_back(s);
-      }
-      for (const int s : to_run) {
-        const ShardSpec shard{s, options.shards};
-        qaoaml::proto::emit_start(stream, s, 0);
-        qaoaml::Timer timer;
-        std::size_t resumed_base = SIZE_MAX;
-        const TransferShardReport report = qaoaml::core::run_transfer_shard(
-            options.transfer, shard, options.directory,
-            [&](std::size_t done, std::size_t total) {
-              if (resumed_base == SIZE_MAX) resumed_base = done;
-              const double elapsed = timer.seconds();
-              const double rate =
-                  elapsed > 0.0
-                      ? static_cast<double>(done - resumed_base) / elapsed
-                      : 0.0;
-              qaoaml::proto::emit_progress(stream, done, total, rate);
-            });
-        qaoaml::proto::emit_done(stream, report.units_generated,
-                                 report.units_resumed, report.seconds);
-        std::printf(
-            "shard %d/%d: %zu units (%zu resumed, %zu generated), "
-            "%zu banks trained in %.2f s\n  data %s\n",
-            s, options.shards, report.units_owned, report.units_resumed,
-            report.units_generated, report.banks_trained, report.seconds,
-            report.data_path.c_str());
-      }
-      if (options.shard >= 0 && options.shards > 1) {
-        if (!options.no_merge) {
-          std::printf(
-              "merge skipped (ran only shard %d of %d); run --merge-only "
-              "once every shard is complete\n",
-              options.shard, options.shards);
-        }
-        return 0;
-      }
-    }
-
-    if (options.no_merge) return 0;
+    const qaoaml::cli::ShardCli& sharding = options.sharding;
+    const bool merge = sharding.run_shards([&](int s, const auto& progress) {
+      const auto report = qaoaml::core::run_transfer_shard(
+          options.transfer, ShardSpec{s, sharding.shards}, sharding.directory,
+          progress);
+      std::printf(
+          "shard %d/%d: %zu units (%zu resumed, %zu generated), "
+          "%zu banks trained in %.2f s\n  data %s\n",
+          s, sharding.shards, report.units_owned, report.units_resumed,
+          report.units_generated, report.banks_trained, report.seconds,
+          report.data_path.c_str());
+      return report;
+    });
+    if (!merge) return 0;
     const std::vector<TransferCell> cells = qaoaml::core::merge_transfer_shards(
-        options.transfer, options.shards, options.directory);
+        options.transfer, sharding.shards, sharding.directory);
     print_matrix(options.transfer, cells);
-    if (!options.out.empty()) {
-      const std::string out_path =
-          (std::filesystem::path(options.directory) / options.out).string();
-      std::ofstream os(out_path);
-      qaoaml::require(os.good(), "run_transfer: cannot open " + out_path);
+    sharding.write_out([&](std::ostream& os) {
       qaoaml::core::write_transfer_report(os, options.transfer, cells);
-      os.flush();  // surface buffered write failures here, not in ~ofstream
-      qaoaml::require(os.good(), "run_transfer: write failed: " + out_path);
-      std::printf("report -> %s\n", out_path.c_str());
-    }
+    });
   } catch (const std::exception& e) {
     std::fprintf(stderr, "run_transfer: %s\n", e.what());
     return 1;
