@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -28,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "core/batch_evaluator.hpp"
@@ -237,18 +239,35 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--repeats") repeats = std::atoi(value());
-    else if (arg == "--out") out_path = value();
-    else if (arg == "--baseline") baseline_path = value();
-    else if (arg == "--max-regression") max_regression = std::atof(value());
-    else {
+    // A malformed number must not silently become a 0% tolerance or a
+    // truncated repeat count.  cli::to_double already refuses inf, nan
+    // and overflow, so a parsed value is finite.
+    auto reject = [&](const char* text, const char* expected) {
+      std::fprintf(stderr, "bench_ci: %s: expected %s, got '%s'\n",
+                   arg.c_str(), expected, text);
+      std::exit(2);
+    };
+    if (arg == "--repeats") {
+      const char* text = value();
+      if (!cli::to_int(text, repeats) || repeats < 1) {
+        reject(text, "a positive integer");
+      }
+    } else if (arg == "--out") {
+      out_path = value();
+    } else if (arg == "--baseline") {
+      baseline_path = value();
+    } else if (arg == "--max-regression") {
+      const char* text = value();
+      if (!cli::to_double(text, max_regression) || max_regression <= 0.0) {
+        reject(text, "a positive finite number");
+      }
+    } else {
       std::fprintf(stderr,
                    "usage: bench_ci [--repeats N] [--out FILE] "
                    "[--baseline FILE] [--max-regression F]\n");
       return 2;
     }
   }
-  if (repeats < 1) repeats = 1;
 
   struct Metric {
     const char* name;

@@ -4,7 +4,8 @@
 // multi-threaded kernels (the *Threads benchmarks sweep the worker
 // count on a fixed 22-qubit state; compare Arg(1) vs Arg(8) for the
 // intra-state scaling headline; BM_QaoaObjectiveP2Q16 Arg(0) vs Arg(1)
-// for the fused-kernel headline).
+// for the fused-kernel headline; BM_StateIntoQ8 for the 8-qubit state
+// build of the paper's workload).
 #include <benchmark/benchmark.h>
 
 #include "common/parallel.hpp"
@@ -98,6 +99,26 @@ void BM_QaoaExpectationGateLevel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QaoaExpectationGateLevel)->DenseRange(1, 6, 1);
+
+// One 8-qubit state build, the unit of work of every optimizer call in
+// the paper's workload: an ER G(8, 0.5) instance at depth Arg, into a
+// reused workspace, on the detected SIMD tier.
+void BM_StateIntoQ8(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  Rng rng(11);
+  const graph::Graph g = graph::erdos_renyi_gnp(8, 0.5, rng);
+  const core::MaxCutQaoa instance(g, depth);
+  std::vector<double> params = core::random_angles(depth, rng);
+  quantum::Statevector workspace = quantum::Statevector::uniform(8);
+  for (auto _ : state) {
+    params[0] += 1e-12;
+    instance.state_into(workspace, params);
+    benchmark::DoNotOptimize(workspace.amplitudes().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_StateIntoQ8)->Arg(2)->Arg(3)->Arg(5)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- Fused-layer benchmarks -----------------------------------------
 // One full QAOA layer (integral phase separator + mixer on every

@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <exception>
@@ -141,8 +142,12 @@ class ThreadPool {
 int default_thread_count() {
   const int override_value = thread_override.load(std::memory_order_relaxed);
   if (override_value > 0) return override_value;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int from_env = env_int("QAOAML_THREADS", hw > 0 ? hw : 1);
+  // hardware_concurrency() can cost microseconds (glibc reads /sys), and
+  // batch paths ask on every call; the CPU count does not change, so it
+  // is read once.  QAOAML_THREADS is still read on every call.
+  static const int hw =
+      std::max(static_cast<int>(std::thread::hardware_concurrency()), 1);
+  const int from_env = env_int("QAOAML_THREADS", hw);
   return from_env > 0 ? from_env : 1;
 }
 

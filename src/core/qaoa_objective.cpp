@@ -7,6 +7,7 @@
 #include "core/angles.hpp"
 #include "core/qaoa_circuit.hpp"
 #include "quantum/sim_config.hpp"
+#include "quantum/simd_kernels.hpp"
 
 namespace qaoaml::core {
 
@@ -57,6 +58,8 @@ void MaxCutQaoa::state_into(quantum::Statevector& sv,
   sv.reset_uniform(graph_.num_nodes());
 
   const bool fused = quantum::fused_kernels_enabled();
+  // One tier lookup per state build, not per layer.
+  const quantum::simd::KernelTable& kernels = quantum::simd::active_kernels();
   const std::vector<double>& diag = hamiltonian_.diagonal();
   for (int stage = 0; stage < depth_; ++stage) {
     const double gamma = params[static_cast<std::size_t>(stage)];
@@ -70,9 +73,10 @@ void MaxCutQaoa::state_into(quantum::Statevector& sv,
       // as the unfused branch below.
       if (integral_) {
         sv.apply_qaoa_layer_integral(int_diagonal_, gamma, max_int_value_,
-                                     beta, /*entries_prevalidated=*/true);
+                                     beta, /*entries_prevalidated=*/true,
+                                     kernels);
       } else {
-        sv.apply_qaoa_layer(diag, gamma, beta);
+        sv.apply_qaoa_layer(diag, gamma, beta, kernels);
       }
       continue;
     }

@@ -83,8 +83,7 @@ void mix_high_single(Complex* amps, std::size_t dim, int t, double c, double s,
       threads);
 }
 
-/// Shared layer skeleton: the kernel table is resolved ONCE per layer
-/// (tier selection reads an env var), then every sweep runs that tier.
+/// Shared layer skeleton: every sweep runs on the caller's kernel table.
 template <typename PhaseTile>
 void apply_layer_impl(Complex* amps, int num_qubits, double beta, int threads,
                       const simd::KernelTable& kt, PhaseTile&& phase_tile) {
@@ -103,8 +102,8 @@ void apply_layer_impl(Complex* amps, int num_qubits, double beta, int threads,
 }  // namespace
 
 void apply_layer(Complex* amps, int num_qubits, const double* diag,
-                 double gamma, double beta, int threads) {
-  const simd::KernelTable& kt = simd::active_kernels();
+                 double gamma, double beta, int threads,
+                 const simd::KernelTable& kt) {
   apply_layer_impl(amps, num_qubits, beta, threads, kt,
                    [&](std::size_t lo, std::size_t hi) {
                      kt.phase_general(amps + lo, diag + lo, gamma, hi - lo);
@@ -112,8 +111,8 @@ void apply_layer(Complex* amps, int num_qubits, const double* diag,
 }
 
 void apply_layer_integral(Complex* amps, int num_qubits, const int* diag,
-                          const Complex* phases, double beta, int threads) {
-  const simd::KernelTable& kt = simd::active_kernels();
+                          const Complex* phases, double beta, int threads,
+                          const simd::KernelTable& kt) {
   apply_layer_impl(amps, num_qubits, beta, threads, kt,
                    [&](std::size_t lo, std::size_t hi) {
                      kt.phase_integral(amps + lo, diag + lo, phases, hi - lo);

@@ -150,15 +150,14 @@ __attribute__((target("avx2"))) inline __m256d avx2_complex_mul(__m256d v,
 }
 
 /// One side of the RX butterfly: c*self + rotate(other), where
-/// rotate(a) = (s*ai, -(s*ar)).  Even lanes add s*other_i (same ops as
-/// scalar c*a0r + s*a1i); odd lanes add -(s*other_r), bitwise equal to
-/// the scalar subtraction.
-__attribute__((target("avx2"))) inline __m256d
-avx2_butterfly_side(__m256d self, __m256d other, __m256d c_vec, __m256d s_vec,
-                    __m256d odd_neg) {
-  const __m256d rot = _mm256_xor_pd(
-      _mm256_mul_pd(s_vec, avx2_swap_pairs(other)), odd_neg);
-  return _mm256_add_pd(_mm256_mul_pd(c_vec, self), rot);
+/// rotate(a) = (s*ai, -(s*ar)) and s_alt = [s, -s, s, -s].  Even lanes
+/// add s*other_i (same ops as scalar c*a0r + s*a1i); odd lanes add
+/// (-s)*other_r == -(s*other_r), bitwise equal to the scalar
+/// subtraction.
+__attribute__((target("avx2"))) inline __m256d avx2_butterfly_side(
+    __m256d self, __m256d other, __m256d c_vec, __m256d s_alt) {
+  return _mm256_add_pd(_mm256_mul_pd(c_vec, self),
+                       _mm256_mul_pd(s_alt, avx2_swap_pairs(other)));
 }
 
 __attribute__((target("avx2"))) void avx2_phase_general(Complex* amps,
@@ -208,23 +207,51 @@ __attribute__((target("avx2"))) void avx2_phase_integral(Complex* amps,
   }
 }
 
+/// One RX level over two register rows: (v0, v1) <- butterfly(v0, v1).
+__attribute__((target("avx2"))) inline void avx2_radix2(
+    __m256d& v0, __m256d& v1, __m256d c_vec, __m256d s_alt) {
+  const __m256d w0 = avx2_butterfly_side(v0, v1, c_vec, s_alt);
+  v1 = avx2_butterfly_side(v1, v0, c_vec, s_alt);
+  v0 = w0;
+}
+
+/// Two RX levels over four register rows, in the scalar quad's order per
+/// element: (0,1), (2,3) for level t, then (0,2), (1,3) for level t+1.
+__attribute__((target("avx2"))) inline void avx2_radix4(
+    __m256d& v0, __m256d& v1, __m256d& v2, __m256d& v3, __m256d c_vec,
+    __m256d s_alt) {
+  avx2_radix2(v0, v1, c_vec, s_alt);
+  avx2_radix2(v2, v3, c_vec, s_alt);
+  avx2_radix2(v0, v2, c_vec, s_alt);
+  avx2_radix2(v1, v3, c_vec, s_alt);
+}
+
+/// Level t = 0 inside one register: the pair partner is the adjacent
+/// amplitude.  With a = [a0r, a0i, a1r, a1i], reversing the quadwords
+/// gives [a1i, a1r, a0i, a0r]; scaling by s and flipping the odd lanes
+/// yields [s*a1i, -(s*a1r), s*a0i, -(s*a0r)] (as a product with s_alt),
+/// and adding c*a lands exactly on the scalar butterfly outputs.
+__attribute__((target("avx2"))) inline __m256d avx2_mix_in_register(
+    __m256d v, __m256d c_vec, __m256d s_alt) {
+  return _mm256_add_pd(_mm256_mul_pd(c_vec, v),
+                       _mm256_mul_pd(s_alt, _mm256_permute4x64_pd(v, 0x1B)));
+}
+
 __attribute__((target("avx2"))) void avx2_butterfly_pair(Complex* p0,
                                                          Complex* p1,
                                                          std::size_t len,
                                                          double c, double s) {
   const __m256d c_vec = _mm256_set1_pd(c);
-  const __m256d s_vec = _mm256_set1_pd(s);
-  const __m256d odd_neg = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+  const __m256d s_alt = _mm256_setr_pd(s, -s, s, -s);
   double* r0 = reinterpret_cast<double*>(p0);
   double* r1 = reinterpret_cast<double*>(p1);
   std::size_t j = 0;
   for (; j + 2 <= len; j += 2) {
-    const __m256d v0 = _mm256_loadu_pd(r0 + 2 * j);
-    const __m256d v1 = _mm256_loadu_pd(r1 + 2 * j);
-    _mm256_storeu_pd(r0 + 2 * j,
-                     avx2_butterfly_side(v0, v1, c_vec, s_vec, odd_neg));
-    _mm256_storeu_pd(r1 + 2 * j,
-                     avx2_butterfly_side(v1, v0, c_vec, s_vec, odd_neg));
+    __m256d v0 = _mm256_loadu_pd(r0 + 2 * j);
+    __m256d v1 = _mm256_loadu_pd(r1 + 2 * j);
+    avx2_radix2(v0, v1, c_vec, s_alt);
+    _mm256_storeu_pd(r0 + 2 * j, v0);
+    _mm256_storeu_pd(r1 + 2 * j, v1);
   }
   for (; j < len; ++j) rx_butterfly(p0[j], p1[j], c, s);
 }
@@ -233,8 +260,7 @@ __attribute__((target("avx2"))) void avx2_butterfly_quad(
     Complex* p0, Complex* p1, Complex* p2, Complex* p3, std::size_t len,
     double c, double s) {
   const __m256d c_vec = _mm256_set1_pd(c);
-  const __m256d s_vec = _mm256_set1_pd(s);
-  const __m256d odd_neg = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+  const __m256d s_alt = _mm256_setr_pd(s, -s, s, -s);
   double* r0 = reinterpret_cast<double*>(p0);
   double* r1 = reinterpret_cast<double*>(p1);
   double* r2 = reinterpret_cast<double*>(p2);
@@ -245,16 +271,7 @@ __attribute__((target("avx2"))) void avx2_butterfly_quad(
     __m256d v1 = _mm256_loadu_pd(r1 + 2 * j);
     __m256d v2 = _mm256_loadu_pd(r2 + 2 * j);
     __m256d v3 = _mm256_loadu_pd(r3 + 2 * j);
-    // Same butterfly order per element as the scalar quad: (0,1), (2,3)
-    // for qubit t, then (0,2), (1,3) for qubit t+1.
-    const __m256d w0 = avx2_butterfly_side(v0, v1, c_vec, s_vec, odd_neg);
-    const __m256d w1 = avx2_butterfly_side(v1, v0, c_vec, s_vec, odd_neg);
-    const __m256d w2 = avx2_butterfly_side(v2, v3, c_vec, s_vec, odd_neg);
-    const __m256d w3 = avx2_butterfly_side(v3, v2, c_vec, s_vec, odd_neg);
-    v0 = avx2_butterfly_side(w0, w2, c_vec, s_vec, odd_neg);
-    v2 = avx2_butterfly_side(w2, w0, c_vec, s_vec, odd_neg);
-    v1 = avx2_butterfly_side(w1, w3, c_vec, s_vec, odd_neg);
-    v3 = avx2_butterfly_side(w3, w1, c_vec, s_vec, odd_neg);
+    avx2_radix4(v0, v1, v2, v3, c_vec, s_alt);
     _mm256_storeu_pd(r0 + 2 * j, v0);
     _mm256_storeu_pd(r1 + 2 * j, v1);
     _mm256_storeu_pd(r2 + 2 * j, v2);
@@ -268,33 +285,70 @@ __attribute__((target("avx2"))) void avx2_butterfly_quad(
   }
 }
 
+/// mix_tile over register rows of 2 amplitudes (simd_kernels.hpp); the
+/// row stride of level t >= 1 is 2^(t-1).
 __attribute__((target("avx2"))) void avx2_mix_tile(Complex* tile, int m,
                                                    double c, double s) {
-  const std::size_t tile_size = std::size_t{1} << m;
-  if (m >= 1) {
-    // Level t = 0: the pair partner is the adjacent amplitude, so both
-    // halves of one butterfly live in a single register.  With
-    // a = [a0r, a0i, a1r, a1i], reversing the quadwords gives
-    // [a1i, a1r, a0i, a0r]; scaling by s and flipping the odd lanes
-    // yields [s*a1i, -(s*a1r), s*a0i, -(s*a0r)], and adding c*a lands
-    // exactly on the scalar butterfly outputs.
-    const __m256d c_vec = _mm256_set1_pd(c);
-    const __m256d s_vec = _mm256_set1_pd(s);
-    const __m256d odd_neg = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-    double* r = reinterpret_cast<double*>(tile);
-    for (std::size_t base = 0; base < tile_size; base += 2) {
-      const __m256d v = _mm256_loadu_pd(r + 2 * base);
-      const __m256d cross = _mm256_permute4x64_pd(v, 0x1B);
-      const __m256d rot =
-          _mm256_xor_pd(_mm256_mul_pd(s_vec, cross), odd_neg);
-      _mm256_storeu_pd(r + 2 * base,
-                       _mm256_add_pd(_mm256_mul_pd(c_vec, v), rot));
+  if (m < 1) return;
+  const __m256d c_vec = _mm256_set1_pd(c);
+  const __m256d s_alt = _mm256_setr_pd(s, -s, s, -s);
+  double* r = reinterpret_cast<double*>(tile);
+  const std::size_t rows = std::size_t{1} << (m - 1);
+  int t = 1;  // first level the passes below still have to apply
+  if (m >= 3) {
+    // Level 0 in-register, then levels 1 and 2 across four adjacent rows.
+    for (std::size_t row = 0; row < rows; row += 4) {
+      __m256d v0 = avx2_mix_in_register(_mm256_loadu_pd(r + 4 * row),
+                                        c_vec, s_alt);
+      __m256d v1 = avx2_mix_in_register(
+          _mm256_loadu_pd(r + 4 * (row + 1)), c_vec, s_alt);
+      __m256d v2 = avx2_mix_in_register(
+          _mm256_loadu_pd(r + 4 * (row + 2)), c_vec, s_alt);
+      __m256d v3 = avx2_mix_in_register(
+          _mm256_loadu_pd(r + 4 * (row + 3)), c_vec, s_alt);
+      avx2_radix4(v0, v1, v2, v3, c_vec, s_alt);
+      _mm256_storeu_pd(r + 4 * row, v0);
+      _mm256_storeu_pd(r + 4 * (row + 1), v1);
+      _mm256_storeu_pd(r + 4 * (row + 2), v2);
+      _mm256_storeu_pd(r + 4 * (row + 3), v3);
+    }
+    t = 3;
+  } else {
+    for (std::size_t row = 0; row < rows; ++row) {
+      _mm256_storeu_pd(r + 4 * row,
+                       avx2_mix_in_register(_mm256_loadu_pd(r + 4 * row),
+                                            c_vec, s_alt));
     }
   }
-  for (int t = 1; t < m; ++t) {
-    const std::size_t stride = std::size_t{1} << t;
-    for (std::size_t base = 0; base < tile_size; base += 2 * stride) {
-      avx2_butterfly_pair(tile + base, tile + base + stride, stride, c, s);
+  for (; t + 1 < m; t += 2) {
+    const std::size_t stride = std::size_t{1} << (t - 1);
+    for (std::size_t base = 0; base < rows; base += 4 * stride) {
+      for (std::size_t row = base; row < base + stride; ++row) {
+        double* q = r + 4 * row;
+        const std::size_t step = 4 * stride;
+        __m256d v0 = _mm256_loadu_pd(q);
+        __m256d v1 = _mm256_loadu_pd(q + step);
+        __m256d v2 = _mm256_loadu_pd(q + 2 * step);
+        __m256d v3 = _mm256_loadu_pd(q + 3 * step);
+        avx2_radix4(v0, v1, v2, v3, c_vec, s_alt);
+        _mm256_storeu_pd(q, v0);
+        _mm256_storeu_pd(q + step, v1);
+        _mm256_storeu_pd(q + 2 * step, v2);
+        _mm256_storeu_pd(q + 3 * step, v3);
+      }
+    }
+  }
+  if (t < m) {
+    const std::size_t stride = std::size_t{1} << (t - 1);
+    for (std::size_t base = 0; base < rows; base += 2 * stride) {
+      for (std::size_t row = base; row < base + stride; ++row) {
+        double* q = r + 4 * row;
+        __m256d v0 = _mm256_loadu_pd(q);
+        __m256d v1 = _mm256_loadu_pd(q + 4 * stride);
+        avx2_radix2(v0, v1, c_vec, s_alt);
+        _mm256_storeu_pd(q, v0);
+        _mm256_storeu_pd(q + 4 * stride, v1);
+      }
     }
   }
 }
@@ -363,8 +417,11 @@ __attribute__((QAOAML_AVX512_TARGET)) inline __m512d avx512_swap_pairs(
   return _mm512_permute_pd(x, 0x55);
 }
 
-__attribute__((QAOAML_AVX512_TARGET)) inline __m512d avx512_odd_neg() {
-  return _mm512_set_pd(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0);
+/// [s, -s, s, -s, ...]: the butterfly sine with the imaginary lanes
+/// negated (see avx2_butterfly_side).
+__attribute__((QAOAML_AVX512_TARGET)) inline __m512d avx512_signed_sine(
+    double s) {
+  return _mm512_setr_pd(s, -s, s, -s, s, -s, s, -s);
 }
 
 __attribute__((QAOAML_AVX512_TARGET)) inline __m512d avx512_even_neg() {
@@ -381,11 +438,9 @@ __attribute__((QAOAML_AVX512_TARGET)) inline __m512d avx512_complex_mul(
 }
 
 __attribute__((QAOAML_AVX512_TARGET)) inline __m512d avx512_butterfly_side(
-    __m512d self, __m512d other, __m512d c_vec, __m512d s_vec,
-    __m512d odd_neg) {
-  const __m512d rot = _mm512_xor_pd(
-      _mm512_mul_pd(s_vec, avx512_swap_pairs(other)), odd_neg);
-  return _mm512_add_pd(_mm512_mul_pd(c_vec, self), rot);
+    __m512d self, __m512d other, __m512d c_vec, __m512d s_alt) {
+  return _mm512_add_pd(_mm512_mul_pd(c_vec, self),
+                       _mm512_mul_pd(s_alt, avx512_swap_pairs(other)));
 }
 
 __attribute__((QAOAML_AVX512_TARGET)) void avx512_phase_general(
@@ -440,101 +495,152 @@ __attribute__((QAOAML_AVX512_TARGET)) void avx512_phase_integral(
   }
 }
 
+/// One RX level over two register rows: (v0, v1) <- butterfly(v0, v1).
+__attribute__((QAOAML_AVX512_TARGET)) inline void avx512_radix2(
+    __m512d& v0, __m512d& v1, __m512d c512, __m512d s_alt) {
+  const __m512d w0 = avx512_butterfly_side(v0, v1, c512, s_alt);
+  v1 = avx512_butterfly_side(v1, v0, c512, s_alt);
+  v0 = w0;
+}
+
+/// Two RX levels over four register rows, in the scalar quad's order per
+/// element: (0,1), (2,3) for level t, then (0,2), (1,3) for level t+1.
+__attribute__((QAOAML_AVX512_TARGET)) inline void avx512_radix4(
+    __m512d& v0, __m512d& v1, __m512d& v2, __m512d& v3, __m512d c512,
+    __m512d s_alt) {
+  avx512_radix2(v0, v1, c512, s_alt);
+  avx512_radix2(v2, v3, c512, s_alt);
+  avx512_radix2(v0, v2, c512, s_alt);
+  avx512_radix2(v1, v3, c512, s_alt);
+}
+
+/// Levels t = 0 and t = 1 inside one register of 4 amplitudes.
+///  - t = 0: reversing the quadwords of each 256-bit half pairs every
+///    amplitude with its neighbor, exactly the AVX2 t = 0 pattern twice
+///    over.
+///  - t = 1: the partner is two amplitudes away, in the other 256-bit
+///    half; a shuffle_f64x2 half swap brings it into place and
+///    avx512_butterfly_side does the rest.
+__attribute__((QAOAML_AVX512_TARGET)) inline __m512d avx512_mix_in_register(
+    __m512d v, __m512d c512, __m512d s_alt) {
+  const __m512d w =
+      _mm512_add_pd(_mm512_mul_pd(c512, v),
+                    _mm512_mul_pd(s_alt, _mm512_permutex_pd(v, 0x1B)));
+  return avx512_butterfly_side(w, _mm512_shuffle_f64x2(w, w, 0x4E), c512,
+                               s_alt);
+}
+
 __attribute__((QAOAML_AVX512_TARGET)) void avx512_butterfly_pair(
     Complex* p0, Complex* p1, std::size_t len, double c, double s) {
   const __m512d c512 = _mm512_set1_pd(c);
-  const __m512d s512 = _mm512_set1_pd(s);
-  const __m512d odd512 = avx512_odd_neg();
+  const __m512d s_alt = avx512_signed_sine(s);
   double* r0 = reinterpret_cast<double*>(p0);
   double* r1 = reinterpret_cast<double*>(p1);
   std::size_t j = 0;
   for (; j + 4 <= len; j += 4) {
-    const __m512d v0 = _mm512_loadu_pd(r0 + 2 * j);
-    const __m512d v1 = _mm512_loadu_pd(r1 + 2 * j);
-    _mm512_storeu_pd(r0 + 2 * j,
-                     avx512_butterfly_side(v0, v1, c512, s512, odd512));
-    _mm512_storeu_pd(r1 + 2 * j,
-                     avx512_butterfly_side(v1, v0, c512, s512, odd512));
+    __m512d v0 = _mm512_loadu_pd(r0 + 2 * j);
+    __m512d v1 = _mm512_loadu_pd(r1 + 2 * j);
+    avx512_radix2(v0, v1, c512, s_alt);
+    _mm512_storeu_pd(r0 + 2 * j, v0);
+    _mm512_storeu_pd(r1 + 2 * j, v1);
   }
-  if (j + 2 <= len) {
-    // 256-bit step: the stride-2 rows of mixer level t = 1 land here.
-    const __m256d c256 = _mm256_set1_pd(c);
-    const __m256d s256 = _mm256_set1_pd(s);
-    const __m256d odd256 = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-    const __m256d v0 = _mm256_loadu_pd(r0 + 2 * j);
-    const __m256d v1 = _mm256_loadu_pd(r1 + 2 * j);
-    _mm256_storeu_pd(r0 + 2 * j,
-                     avx2_butterfly_side(v0, v1, c256, s256, odd256));
-    _mm256_storeu_pd(r1 + 2 * j,
-                     avx2_butterfly_side(v1, v0, c256, s256, odd256));
-    j += 2;
-  }
-  for (; j < len; ++j) rx_butterfly(p0[j], p1[j], c, s);
+  if (j < len) avx2_butterfly_pair(p0 + j, p1 + j, len - j, c, s);
 }
 
 __attribute__((QAOAML_AVX512_TARGET)) void avx512_butterfly_quad(
     Complex* p0, Complex* p1, Complex* p2, Complex* p3, std::size_t len,
     double c, double s) {
   const __m512d c512 = _mm512_set1_pd(c);
-  const __m512d s512 = _mm512_set1_pd(s);
-  const __m512d odd512 = avx512_odd_neg();
+  const __m512d s_alt = avx512_signed_sine(s);
   double* r0 = reinterpret_cast<double*>(p0);
   double* r1 = reinterpret_cast<double*>(p1);
   double* r2 = reinterpret_cast<double*>(p2);
   double* r3 = reinterpret_cast<double*>(p3);
   std::size_t j = 0;
   for (; j + 4 <= len; j += 4) {
-    const __m512d v0 = _mm512_loadu_pd(r0 + 2 * j);
-    const __m512d v1 = _mm512_loadu_pd(r1 + 2 * j);
-    const __m512d v2 = _mm512_loadu_pd(r2 + 2 * j);
-    const __m512d v3 = _mm512_loadu_pd(r3 + 2 * j);
-    const __m512d w0 = avx512_butterfly_side(v0, v1, c512, s512, odd512);
-    const __m512d w1 = avx512_butterfly_side(v1, v0, c512, s512, odd512);
-    const __m512d w2 = avx512_butterfly_side(v2, v3, c512, s512, odd512);
-    const __m512d w3 = avx512_butterfly_side(v3, v2, c512, s512, odd512);
-    _mm512_storeu_pd(r0 + 2 * j,
-                     avx512_butterfly_side(w0, w2, c512, s512, odd512));
-    _mm512_storeu_pd(r2 + 2 * j,
-                     avx512_butterfly_side(w2, w0, c512, s512, odd512));
-    _mm512_storeu_pd(r1 + 2 * j,
-                     avx512_butterfly_side(w1, w3, c512, s512, odd512));
-    _mm512_storeu_pd(r3 + 2 * j,
-                     avx512_butterfly_side(w3, w1, c512, s512, odd512));
+    __m512d v0 = _mm512_loadu_pd(r0 + 2 * j);
+    __m512d v1 = _mm512_loadu_pd(r1 + 2 * j);
+    __m512d v2 = _mm512_loadu_pd(r2 + 2 * j);
+    __m512d v3 = _mm512_loadu_pd(r3 + 2 * j);
+    avx512_radix4(v0, v1, v2, v3, c512, s_alt);
+    _mm512_storeu_pd(r0 + 2 * j, v0);
+    _mm512_storeu_pd(r1 + 2 * j, v1);
+    _mm512_storeu_pd(r2 + 2 * j, v2);
+    _mm512_storeu_pd(r3 + 2 * j, v3);
   }
   if (j < len) {
     avx2_butterfly_quad(p0 + j, p1 + j, p2 + j, p3 + j, len - j, c, s);
   }
 }
 
+/// mix_tile over register rows of 4 amplitudes (simd_kernels.hpp); the
+/// row stride of level t >= 2 is 2^(t-2).
 __attribute__((QAOAML_AVX512_TARGET)) void avx512_mix_tile(Complex* tile,
                                                            int m, double c,
                                                            double s) {
-  const std::size_t tile_size = std::size_t{1} << m;
-  if (m >= 2) {
-    // Level t = 0 over 4 amplitudes (2 butterflies) per register:
-    // reversing the quadwords of each 256-bit half pairs every
-    // amplitude with its neighbor, exactly the AVX2 t = 0 pattern
-    // twice over.
-    const __m512d c512 = _mm512_set1_pd(c);
-    const __m512d s512 = _mm512_set1_pd(s);
-    const __m512d odd512 = avx512_odd_neg();
-    double* r = reinterpret_cast<double*>(tile);
-    for (std::size_t base = 0; base < tile_size; base += 4) {
-      const __m512d v = _mm512_loadu_pd(r + 2 * base);
-      const __m512d cross = _mm512_permutex_pd(v, 0x1B);
-      const __m512d rot =
-          _mm512_xor_pd(_mm512_mul_pd(s512, cross), odd512);
-      _mm512_storeu_pd(r + 2 * base,
-                       _mm512_add_pd(_mm512_mul_pd(c512, v), rot));
-    }
-  } else if (m == 1) {
-    rx_butterfly(tile[0], tile[1], c, s);
+  if (m < 2) {
+    scalar_mix_tile(tile, m, c, s);  // less than one register row
     return;
   }
-  for (int t = 1; t < m; ++t) {
-    const std::size_t stride = std::size_t{1} << t;
-    for (std::size_t base = 0; base < tile_size; base += 2 * stride) {
-      avx512_butterfly_pair(tile + base, tile + base + stride, stride, c, s);
+  const __m512d c512 = _mm512_set1_pd(c);
+  const __m512d s_alt = avx512_signed_sine(s);
+  double* r = reinterpret_cast<double*>(tile);
+  const std::size_t rows = std::size_t{1} << (m - 2);
+  int t = 2;  // first level the passes below still have to apply
+  if (m >= 4) {
+    // Levels 0 and 1 in-register, then 2 and 3 across four adjacent rows.
+    for (std::size_t row = 0; row < rows; row += 4) {
+      __m512d v0 = avx512_mix_in_register(
+          _mm512_loadu_pd(r + 8 * row), c512, s_alt);
+      __m512d v1 = avx512_mix_in_register(
+          _mm512_loadu_pd(r + 8 * (row + 1)), c512, s_alt);
+      __m512d v2 = avx512_mix_in_register(
+          _mm512_loadu_pd(r + 8 * (row + 2)), c512, s_alt);
+      __m512d v3 = avx512_mix_in_register(
+          _mm512_loadu_pd(r + 8 * (row + 3)), c512, s_alt);
+      avx512_radix4(v0, v1, v2, v3, c512, s_alt);
+      _mm512_storeu_pd(r + 8 * row, v0);
+      _mm512_storeu_pd(r + 8 * (row + 1), v1);
+      _mm512_storeu_pd(r + 8 * (row + 2), v2);
+      _mm512_storeu_pd(r + 8 * (row + 3), v3);
+    }
+    t = 4;
+  } else {
+    for (std::size_t row = 0; row < rows; ++row) {
+      _mm512_storeu_pd(r + 8 * row,
+                       avx512_mix_in_register(_mm512_loadu_pd(r + 8 * row),
+                                              c512, s_alt));
+    }
+  }
+  for (; t + 1 < m; t += 2) {
+    const std::size_t stride = std::size_t{1} << (t - 2);
+    const std::size_t step = 8 * stride;
+    for (std::size_t base = 0; base < rows; base += 4 * stride) {
+      for (std::size_t row = base; row < base + stride; ++row) {
+        double* q = r + 8 * row;
+        __m512d v0 = _mm512_loadu_pd(q);
+        __m512d v1 = _mm512_loadu_pd(q + step);
+        __m512d v2 = _mm512_loadu_pd(q + 2 * step);
+        __m512d v3 = _mm512_loadu_pd(q + 3 * step);
+        avx512_radix4(v0, v1, v2, v3, c512, s_alt);
+        _mm512_storeu_pd(q, v0);
+        _mm512_storeu_pd(q + step, v1);
+        _mm512_storeu_pd(q + 2 * step, v2);
+        _mm512_storeu_pd(q + 3 * step, v3);
+      }
+    }
+  }
+  if (t < m) {
+    const std::size_t stride = std::size_t{1} << (t - 2);
+    for (std::size_t base = 0; base < rows; base += 2 * stride) {
+      for (std::size_t row = base; row < base + stride; ++row) {
+        double* q = r + 8 * row;
+        __m512d v0 = _mm512_loadu_pd(q);
+        __m512d v1 = _mm512_loadu_pd(q + 8 * stride);
+        avx512_radix2(v0, v1, c512, s_alt);
+        _mm512_storeu_pd(q, v0);
+        _mm512_storeu_pd(q + 8 * stride, v1);
+      }
     }
   }
 }

@@ -5,8 +5,8 @@
 // expectation reduction (quantum/statevector.cpp) keep all range
 // orchestration — tiling, amplitude-range sharding over the thread
 // pool, the blocked reduction tree — and delegate the contiguous inner
-// loops to the function-pointer table below, selected once per sweep by
-// the active tier.
+// loops to the function-pointer table below, which the caller resolves
+// from the active tier.
 //
 // Bit-identity contract: every tier computes, per amplitude, the SAME
 // sequence of IEEE-754 double operations as the scalar implementation.
@@ -58,6 +58,22 @@ struct KernelTable {
   /// RX(beta) butterflies for all `m` low qubit levels of one
   /// cache-resident tile of 2^m amplitudes, level order t = 0..m-1,
   /// with c = cos(beta/2), s = sin(beta/2).
+  ///
+  /// The vector tiers keep the tile in register rows (2 amplitudes per
+  /// AVX2 register, 4 per AVX-512 register) and never call
+  /// butterfly_pair per run:
+  ///  - the levels whose partner sits in the same register are applied
+  ///    in-register: t = 0 on AVX2; t = 0 and t = 1 (a 256-bit half
+  ///    swap) on AVX-512;
+  ///  - every further level pair (t, t+1) is one radix-4 pass over four
+  ///    register rows, with butterfly_quad's op order per element; the
+  ///    first pair rides in the in-register pass, so each group of four
+  ///    adjacent rows is loaded once for three (AVX2) or four (AVX-512)
+  ///    levels;
+  ///  - a leftover top level is one radix-2 pass.
+  /// An 8-qubit tile thus takes 3 passes over its rows on AVX-512 (4 on
+  /// AVX2) instead of 1 in-register pass plus 127 butterfly_pair calls.
+  /// Loads and stores are unaligned, so `tile` needs no alignment.
   void (*mix_tile)(Complex* tile, int m, double c, double s);
 
   /// One RX butterfly level over two parallel rows: for j in [0, len),
@@ -81,7 +97,8 @@ struct KernelTable {
 /// cannot execute it.
 const KernelTable& kernels(SimdTier tier);
 
-/// kernels(active_simd_tier()).
+/// kernels(active_simd_tier()).  Tier selection may read QAOAML_SIMD,
+/// so hot loops resolve the table once and pass it down.
 const KernelTable& active_kernels();
 
 }  // namespace qaoaml::quantum::simd

@@ -223,49 +223,66 @@ void Statevector::check_integral_diagonal(const std::vector<int>& diag,
           "Statevector: integral diagonal entry outside [0, max_value]");
 }
 
-/// phases[k] = exp(-i * k * angle): only max_value + 1 distinct phases.
-static std::vector<Complex> integral_phase_table(double angle, int max_value) {
-  std::vector<Complex> phases(static_cast<std::size_t>(max_value) + 1);
-  for (std::size_t k = 0; k < phases.size(); ++k) {
+/// phases[k] = exp(-i * k * angle) for k in [0, max_value]: only
+/// max_value + 1 distinct phases.  The table is built in a per-thread
+/// buffer that only grows, so a warm layer allocates nothing; the
+/// pointer stays valid until this thread builds its next table.
+static const Complex* integral_phase_table(double angle, int max_value) {
+  thread_local std::vector<Complex> table;
+  const std::size_t count = static_cast<std::size_t>(max_value) + 1;
+  if (table.size() < count) table.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
     const double phi = -angle * static_cast<double>(k);
-    phases[k] = Complex{std::cos(phi), std::sin(phi)};
+    table[k] = Complex{std::cos(phi), std::sin(phi)};
   }
-  return phases;
+  return table.data();
 }
 
 void Statevector::apply_diagonal_evolution_integral(
     const std::vector<int>& diag, double angle, int max_value,
     bool entries_prevalidated) {
   check_integral_diagonal(diag, max_value, !entries_prevalidated);
-  const std::vector<Complex> phases = integral_phase_table(angle, max_value);
+  const Complex* phases = integral_phase_table(angle, max_value);
   const std::size_t dim = amps_.size();
   const simd::KernelTable& kt = simd::active_kernels();
   parallel_for_range(
       dim,
       [&](std::size_t begin, std::size_t end) {
-        kt.phase_integral(amps_.data() + begin, diag.data() + begin,
-                          phases.data(), end - begin);
+        kt.phase_integral(amps_.data() + begin, diag.data() + begin, phases,
+                          end - begin);
       },
       kernel_threads(dim));
 }
 
 void Statevector::apply_qaoa_layer(const std::vector<double>& diag,
                                    double gamma, double beta) {
+  apply_qaoa_layer(diag, gamma, beta, simd::active_kernels());
+}
+
+void Statevector::apply_qaoa_layer(const std::vector<double>& diag,
+                                   double gamma, double beta,
+                                   const simd::KernelTable& kernels) {
   require(diag.size() == amps_.size(),
           "Statevector: diagonal length must equal dimension");
   fused::apply_layer(amps_.data(), num_qubits_, diag.data(), gamma, beta,
-                     kernel_threads(amps_.size()));
+                     kernel_threads(amps_.size()), kernels);
 }
 
 void Statevector::apply_qaoa_layer_integral(const std::vector<int>& diag,
                                             double gamma, int max_value,
                                             double beta,
                                             bool entries_prevalidated) {
+  apply_qaoa_layer_integral(diag, gamma, max_value, beta,
+                            entries_prevalidated, simd::active_kernels());
+}
+
+void Statevector::apply_qaoa_layer_integral(
+    const std::vector<int>& diag, double gamma, int max_value, double beta,
+    bool entries_prevalidated, const simd::KernelTable& kernels) {
   check_integral_diagonal(diag, max_value, !entries_prevalidated);
-  const std::vector<Complex> phases = integral_phase_table(gamma, max_value);
   fused::apply_layer_integral(amps_.data(), num_qubits_, diag.data(),
-                              phases.data(), beta,
-                              kernel_threads(amps_.size()));
+                              integral_phase_table(gamma, max_value), beta,
+                              kernel_threads(amps_.size()), kernels);
 }
 
 void Statevector::apply_hadamard_all() {

@@ -29,6 +29,10 @@
 
 namespace qaoaml::quantum {
 
+namespace simd {
+struct KernelTable;
+}  // namespace simd
+
 /// Amplitude storage: a vector whose heap buffer is 64-byte aligned
 /// (one cacheline / one AVX-512 vector) for the explicit SIMD kernels.
 using AmpVector = std::vector<Complex, AlignedAllocator<Complex, kAmplitudeAlignment>>;
@@ -111,6 +115,16 @@ class Statevector {
   void apply_qaoa_layer_integral(const std::vector<int>& diag, double gamma,
                                  int max_value, double beta,
                                  bool entries_prevalidated = false);
+
+  /// The two layers above on a kernel table the caller resolved once
+  /// (simd::active_kernels() may read QAOAML_SIMD), for loops that
+  /// apply many layers.  Same bits as the overloads above on that tier.
+  void apply_qaoa_layer(const std::vector<double>& diag, double gamma,
+                        double beta, const simd::KernelTable& kernels);
+  void apply_qaoa_layer_integral(const std::vector<int>& diag, double gamma,
+                                 int max_value, double beta,
+                                 bool entries_prevalidated,
+                                 const simd::KernelTable& kernels);
 
   /// Hadamard on every qubit (the QAOA state preparation layer).
   void apply_hadamard_all();

@@ -13,9 +13,10 @@
 //  - scheduling level: bit-determinism across thread counts and the
 //    amplitude-sharding batch branch, plus the dispatcher's selection
 //    grammar (ScopedSimdTier > QAOAML_SIMD > CPUID) and the 64-byte
-//    amplitude alignment the vector kernels rely on.
+//    amplitude alignment of every construction path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -317,6 +318,28 @@ TEST(SimdKernels, MixTileBitIdenticalToScalarForEveryTileSize) {
       kt.mix_tile(actual.data(), m, c, s);
       EXPECT_EQ(count_amp_mismatches(actual, expected), 0u)
           << quantum::to_string(tier) << " m=" << m;
+    }
+  }
+  // The same tiles one amplitude past a 64-byte boundary, on every tier:
+  // the kernels must not assume an aligned tile.
+  for (SimdTier tier : supported_tiers()) {
+    const KernelTable& kt = quantum::simd::kernels(tier);
+    Rng rng(0x0FF1);
+    const double beta = rng.uniform(-M_PI, M_PI);
+    const double c = std::cos(beta / 2.0);
+    const double s = std::sin(beta / 2.0);
+    for (int m = 1; m <= 11; ++m) {
+      const std::vector<Complex> input =
+          random_amps(std::size_t{1} << m, rng);
+      std::vector<Complex> expected = input;
+      scalar.mix_tile(expected.data(), m, c, s);
+      quantum::AmpVector buffer(input.size() + 1);  // 64-byte aligned
+      Complex* tile = buffer.data() + 1;
+      std::copy(input.begin(), input.end(), tile);
+      kt.mix_tile(tile, m, c, s);
+      const std::vector<Complex> actual(tile, tile + input.size());
+      EXPECT_EQ(count_amp_mismatches(actual, expected), 0u)
+          << quantum::to_string(tier) << " misaligned m=" << m;
     }
   }
 }
