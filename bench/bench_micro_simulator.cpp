@@ -1,11 +1,12 @@
 // M1 micro-benchmarks: statevector simulator throughput — gate
-// application scaling with qubit count, the fused vs unfused vs
-// gate-level QAOA paths, the integral-spectrum fast path, and the
+// application scaling with qubit count, the fused QAOA layer against
+// the unfused gate sequence it replaces (BM_QaoaLayerFused vs
+// BM_QaoaLayerUnfused), the integral-spectrum fast path, and the
 // multi-threaded kernels (the *Threads benchmarks sweep the worker
 // count on a fixed 22-qubit state; compare Arg(1) vs Arg(8) for the
-// intra-state scaling headline; BM_QaoaObjectiveP2Q16 Arg(0) vs Arg(1)
-// for the fused-kernel headline; BM_StateIntoQ8 for the 8-qubit state
-// build of the paper's workload).
+// intra-state scaling headline; BM_QaoaObjectiveP2Q16 for a 16-qubit
+// objective evaluation; BM_StateIntoQ8 for the 8-qubit state build of
+// the paper's workload).
 #include <benchmark/benchmark.h>
 
 #include "common/parallel.hpp"
@@ -13,7 +14,6 @@
 #include "core/batch_evaluator.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
-#include "quantum/sim_config.hpp"
 #include "quantum/statevector.hpp"
 
 using namespace qaoaml;
@@ -87,19 +87,6 @@ void BM_QaoaExpectationFast(benchmark::State& state) {
 }
 BENCHMARK(BM_QaoaExpectationFast)->DenseRange(1, 6, 1);
 
-void BM_QaoaExpectationGateLevel(benchmark::State& state) {
-  const int depth = static_cast<int>(state.range(0));
-  Rng rng(7);
-  const graph::Graph g = graph::random_regular(8, 3, rng);
-  const core::MaxCutQaoa instance(g, depth);
-  std::vector<double> params = core::random_angles(depth, rng);
-  for (auto _ : state) {
-    params[0] += 1e-9;
-    benchmark::DoNotOptimize(instance.expectation_gate_level(params));
-  }
-}
-BENCHMARK(BM_QaoaExpectationGateLevel)->DenseRange(1, 6, 1);
-
 // One 8-qubit state build, the unit of work of every optimizer call in
 // the paper's workload: an ER G(8, 0.5) instance at depth Arg, into a
 // reused workspace, on the detected SIMD tier.
@@ -156,12 +143,8 @@ void BM_QaoaLayerFused(benchmark::State& state) {
 }
 BENCHMARK(BM_QaoaLayerFused)->DenseRange(8, 20, 4);
 
-// The acceptance headline: a p=2, 16-qubit QAOA objective evaluation
-// through BatchEvaluator, with Arg(0) = unfused, Arg(1) = fused.
+// A p=2, 16-qubit QAOA objective evaluation through BatchEvaluator.
 void BM_QaoaObjectiveP2Q16(benchmark::State& state) {
-  const quantum::ScopedLayerKernel guard(state.range(0) != 0
-                                             ? quantum::LayerKernel::kFused
-                                             : quantum::LayerKernel::kUnfused);
   Rng rng(7);
   const graph::Graph g = graph::random_regular(16, 3, rng);
   const core::MaxCutQaoa instance(g, 2);
@@ -172,8 +155,7 @@ void BM_QaoaObjectiveP2Q16(benchmark::State& state) {
     benchmark::DoNotOptimize(evaluator.expectation(params));
   }
 }
-BENCHMARK(BM_QaoaObjectiveP2Q16)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_QaoaObjectiveP2Q16)->Unit(benchmark::kMicrosecond);
 
 // ---- Threaded-kernel benchmarks -------------------------------------
 // 22 qubits = 4M amplitudes (64 MiB of state): large enough that the

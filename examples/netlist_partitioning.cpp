@@ -100,8 +100,8 @@ int main() {
   }
 
   const core::IsingQaoa instance(model, 3);
-  std::printf("Ising ansatz: %zu gates over %zu pair couplings\n",
-              instance.ansatz().size(), model.couplings().size());
+  std::printf("Ising model: %d spins, %zu pair couplings\n",
+              model.num_spins(), model.couplings().size());
 
   // The classical loop, composed from the optim layer directly.
   Rng rng(99);

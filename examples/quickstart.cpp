@@ -23,8 +23,7 @@ int main() {
 
   // 2. A QAOA instance of depth p = 3 (6 variational angles).
   const core::MaxCutQaoa instance(problem, 3);
-  std::printf("ansatz: %zu gates, schedule depth %d, %zu parameters\n",
-              instance.ansatz().size(), instance.ansatz().depth(),
+  std::printf("QAOA depth %d: %zu parameters\n", instance.depth(),
               instance.num_parameters());
 
   // 3. The classical optimization loop (Fig. 1(a) of the paper):

@@ -2,47 +2,14 @@
 
 #include "common/error.hpp"
 #include "core/angles.hpp"
+#include "quantum/simd_kernels.hpp"
 
 namespace qaoaml::core {
-
-quantum::Circuit build_ising_ansatz(const ising::IsingModel& model,
-                                    int depth) {
-  require(depth >= 1, "build_ising_ansatz: depth must be >= 1");
-  const int n = model.num_spins();
-  require(n >= 1, "build_ising_ansatz: empty model");
-
-  quantum::Circuit circuit(n);
-  for (int q = 0; q < n; ++q) circuit.h(q);
-
-  for (int stage = 0; stage < depth; ++stage) {
-    const int gamma_index = stage;
-    const int beta_index = depth + stage;
-    // exp(-i gamma J Z_u Z_v) = CNOT . RZ(2 J gamma) . CNOT
-    for (const ising::Coupling& c : model.couplings()) {
-      circuit.cnot(c.i, c.j);
-      circuit.rz(c.j, quantum::ParamExpr::bound(gamma_index, 2.0 * c.strength));
-      circuit.cnot(c.i, c.j);
-    }
-    // exp(-i gamma h Z_u) = RZ(2 h gamma)
-    for (int q = 0; q < n; ++q) {
-      const double h = model.fields()[static_cast<std::size_t>(q)];
-      if (h != 0.0) {
-        circuit.rz(q, quantum::ParamExpr::bound(gamma_index, 2.0 * h));
-      }
-    }
-    // Mixer RX(beta) = exp(-i beta X / 2), as in the MaxCut ansatz.
-    for (int q = 0; q < n; ++q) {
-      circuit.rx(q, quantum::ParamExpr::bound(beta_index, 1.0));
-    }
-  }
-  return circuit;
-}
 
 IsingQaoa::IsingQaoa(ising::IsingModel model, int depth)
     : model_(std::move(model)),
       depth_(depth),
-      hamiltonian_(ising::DiagonalHamiltonian::from_ising(model_)),
-      circuit_(build_ising_ansatz(model_, depth)) {
+      hamiltonian_(ising::DiagonalHamiltonian::from_ising(model_)) {
   require(depth >= 1, "IsingQaoa: depth must be >= 1");
   max_value_ = hamiltonian_.max_value();
 }
@@ -56,27 +23,18 @@ quantum::Statevector IsingQaoa::state(std::span<const double> params) const {
           "IsingQaoa::state: wrong parameter count");
   quantum::Statevector sv =
       quantum::Statevector::uniform(model_.num_spins());
-  const std::vector<double>& diag = hamiltonian_.diagonal();
+  // One tier lookup per state build, not per layer.
+  const quantum::simd::KernelTable& kernels = quantum::simd::active_kernels();
   for (int stage = 0; stage < depth_; ++stage) {
     const double gamma = params[static_cast<std::size_t>(stage)];
     const double beta = params[static_cast<std::size_t>(depth_ + stage)];
-    sv.apply_diagonal_evolution(diag, gamma);
-    const quantum::Gate1Q mixer = quantum::gates::rx(beta);
-    for (int q = 0; q < model_.num_spins(); ++q) sv.apply_gate(mixer, q);
+    sv.apply_qaoa_layer(hamiltonian_.diagonal(), gamma, beta, kernels);
   }
   return sv;
 }
 
 double IsingQaoa::expectation(std::span<const double> params) const {
   return state(params).expectation_diagonal(hamiltonian_.diagonal());
-}
-
-double IsingQaoa::expectation_gate_level(
-    std::span<const double> params) const {
-  require(params.size() == num_parameters(),
-          "IsingQaoa::expectation_gate_level: wrong parameter count");
-  return circuit_.simulate(params).expectation_diagonal(
-      hamiltonian_.diagonal());
 }
 
 double IsingQaoa::approximation_ratio(std::span<const double> params) const {

@@ -4,13 +4,12 @@
 // The paper's study is MaxCut-only; this generalization covers the
 // problems a downstream user actually brings (weighted partitioning
 // objectives, balance penalties as linear fields, arbitrary QUBOs via
-// the standard QUBO->Ising map).  The ansatz gains an RZ layer for the
-// linear fields:
-//   per stage i:  for each coupling (u, v, J): CNOT, RZ(2*J*gamma_i), CNOT
-//                 for each field (u, h):       RZ(2*h*gamma_i)
-//                 mixer: RX(beta_i) on every qubit
-// which equals exp(-i gamma_i * (H - const)) up to a global phase when
-// the Hamiltonian is written over Z operators (maximization objective).
+// the standard QUBO->Ising map).  The Ising cost is diagonal in the
+// computational basis, so each stage is the same fused layer MaxCut
+// uses: exp(-i gamma_i H) on the precomputed diagonal, then RX(beta_i)
+// on every qubit (Statevector::apply_qaoa_layer).  The tests check it
+// against the explicit CNOT/RZ/RX ansatz simulated gate by gate
+// (tests/support/qaoa_reference.hpp).
 #ifndef QAOAML_CORE_ISING_QAOA_HPP
 #define QAOAML_CORE_ISING_QAOA_HPP
 
@@ -21,7 +20,6 @@
 #include "ising/diagonal_hamiltonian.hpp"
 #include "ising/ising_model.hpp"
 #include "optim/types.hpp"
-#include "quantum/circuit.hpp"
 #include "quantum/statevector.hpp"
 
 namespace qaoaml::core {
@@ -44,14 +42,11 @@ class IsingQaoa {
   /// The optimization box (gamma in [0, 2*pi], beta in [0, pi]).
   optim::Bounds bounds() const;
 
-  /// |psi(gamma, beta)> via the fused diagonal fast path.
+  /// |psi(gamma, beta)>, one fused layer per stage.
   quantum::Statevector state(std::span<const double> params) const;
 
   /// <H> of the prepared state.
   double expectation(std::span<const double> params) const;
-
-  /// <H> via explicit gate-by-gate simulation of the ansatz.
-  double expectation_gate_level(std::span<const double> params) const;
 
   /// expectation / max_value (assumes max_value > 0).
   double approximation_ratio(std::span<const double> params) const;
@@ -59,19 +54,12 @@ class IsingQaoa {
   /// Minimization objective (-<H>); references this instance.
   optim::ObjectiveFn objective() const;
 
-  /// The explicit ansatz circuit.
-  const quantum::Circuit& ansatz() const { return circuit_; }
-
  private:
   ising::IsingModel model_;
   int depth_;
   ising::DiagonalHamiltonian hamiltonian_;
   double max_value_ = 0.0;
-  quantum::Circuit circuit_;
 };
-
-/// Builds the general Ising ansatz circuit described above.
-quantum::Circuit build_ising_ansatz(const ising::IsingModel& model, int depth);
 
 }  // namespace qaoaml::core
 

@@ -2,22 +2,34 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/angles.hpp"
-#include "core/qaoa_circuit.hpp"
-#include "quantum/sim_config.hpp"
 #include "quantum/simd_kernels.hpp"
 
 namespace qaoaml::core {
+namespace {
+
+// Checked before the 2^n cut table (and its 2^n integer copy) is built:
+// a graph beyond the simulator's cap must not allocate gigabytes first.
+const graph::Graph& validated(const graph::Graph& g, int depth) {
+  require(depth >= 1, "MaxCutQaoa: depth must be >= 1");
+  require(g.num_edges() >= 1, "MaxCutQaoa: graph needs at least one edge");
+  require(g.num_nodes() <= quantum::kMaxQubits,
+          "MaxCutQaoa: " + std::to_string(g.num_nodes()) +
+              " nodes exceeds the simulator's " +
+              std::to_string(quantum::kMaxQubits) + "-qubit cap");
+  return g;
+}
+
+}  // namespace
 
 MaxCutQaoa::MaxCutQaoa(graph::Graph g, int depth)
     : graph_(std::move(g)),
       depth_(depth),
-      hamiltonian_(ising::DiagonalHamiltonian::maxcut(graph_)),
-      circuit_(build_maxcut_ansatz(graph_, depth)) {
-  require(depth >= 1, "MaxCutQaoa: depth must be >= 1");
-  require(graph_.num_edges() >= 1, "MaxCutQaoa: graph needs at least one edge");
+      hamiltonian_(
+          ising::DiagonalHamiltonian::maxcut(validated(graph_, depth))) {
   max_cut_ = hamiltonian_.max_value();
 
   // Detect an integral cut spectrum (always true for unit weights).
@@ -57,42 +69,19 @@ void MaxCutQaoa::state_into(quantum::Statevector& sv,
           "MaxCutQaoa::state_into: wrong parameter count");
   sv.reset_uniform(graph_.num_nodes());
 
-  const bool fused = quantum::fused_kernels_enabled();
   // One tier lookup per state build, not per layer.
   const quantum::simd::KernelTable& kernels = quantum::simd::active_kernels();
-  const std::vector<double>& diag = hamiltonian_.diagonal();
   for (int stage = 0; stage < depth_; ++stage) {
     const double gamma = params[static_cast<std::size_t>(stage)];
     const double beta = params[static_cast<std::size_t>(depth_ + stage)];
-
     // int_diagonal_ entries are in [0, max_int_value_] by construction,
-    // so both integral branches skip the per-call entry-range scan.
-    if (fused) {
-      // Whole layer (phase separator + mixer) in a few blocked sweeps;
-      // the integral variant uses the same power-table phase separator
-      // as the unfused branch below.
-      if (integral_) {
-        sv.apply_qaoa_layer_integral(int_diagonal_, gamma, max_int_value_,
-                                     beta, /*entries_prevalidated=*/true,
-                                     kernels);
-      } else {
-        sv.apply_qaoa_layer(diag, gamma, beta, kernels);
-      }
-      continue;
-    }
-
+    // so the integral layer skips the per-call entry-range scan.
     if (integral_) {
-      // exp(-i gamma C) via powers of exp(-i gamma): the cut spectrum is
-      // integral so only max_int_value_+1 distinct phases occur.
-      sv.apply_diagonal_evolution_integral(int_diagonal_, gamma,
-                                           max_int_value_,
-                                           /*entries_prevalidated=*/true);
+      sv.apply_qaoa_layer_integral(int_diagonal_, gamma, max_int_value_, beta,
+                                   /*entries_prevalidated=*/true, kernels);
     } else {
-      sv.apply_diagonal_evolution(diag, gamma);
+      sv.apply_qaoa_layer(hamiltonian_.diagonal(), gamma, beta, kernels);
     }
-
-    const quantum::Gate1Q mixer = quantum::gates::rx(beta);
-    for (int q = 0; q < graph_.num_nodes(); ++q) sv.apply_gate(mixer, q);
   }
 }
 
@@ -104,14 +93,6 @@ double MaxCutQaoa::expectation_using(quantum::Statevector& workspace,
                                      std::span<const double> params) const {
   state_into(workspace, params);
   return workspace.expectation_diagonal(hamiltonian_.diagonal());
-}
-
-double MaxCutQaoa::expectation_gate_level(
-    std::span<const double> params) const {
-  require(params.size() == num_parameters(),
-          "MaxCutQaoa::expectation_gate_level: wrong parameter count");
-  const quantum::Statevector sv = circuit_.simulate(params);
-  return sv.expectation_diagonal(hamiltonian_.diagonal());
 }
 
 double MaxCutQaoa::sampled_expectation(std::span<const double> params,

@@ -5,17 +5,13 @@
 // the diagonal MaxCut cost operator; the classical loop *maximizes* this
 // expectation, so objective() exposes its negative for the minimizers.
 //
-// Three evaluation paths produce identical values (tested to 1e-12):
-//  - gate path: simulates the explicit CNOT/RZ/RX ansatz circuit;
-//  - unfused fast path: applies the phase separator as a diagonal
-//    multiply and the mixer as one RX gate pass per qubit;
-//  - fused fast path (default): applies the whole layer — phase
-//    separator + mixer — in a few blocked sweeps via
-//    Statevector::apply_qaoa_layer* (see quantum/fused_kernels.hpp).
-// The fast paths are selected by quantum::default_layer_kernel()
-// (QAOAML_FUSED / ScopedLayerKernel); for unweighted graphs the cut
-// spectrum is integral, so the phase separator collapses to a
-// precomputed power table (exp(-i gamma)^C(z)) on either fast path.
+// One evaluation path: each QAOA stage — phase separator exp(-i gamma C)
+// and RX(beta) mixer — is one fused layer, a few blocked sweeps via
+// Statevector::apply_qaoa_layer* (see quantum/fused_kernels.hpp).  For
+// unweighted graphs the cut spectrum is integral, so the phase
+// separator collapses to a precomputed power table (exp(-i gamma)^C(z)).
+// The tests check this path against an unfused layer sequence and a
+// gate-by-gate CNOT/RZ/RX ansatz simulation (tests/support).
 #ifndef QAOAML_CORE_QAOA_OBJECTIVE_HPP
 #define QAOAML_CORE_QAOA_OBJECTIVE_HPP
 
@@ -27,7 +23,6 @@
 #include "graph/graph.hpp"
 #include "ising/diagonal_hamiltonian.hpp"
 #include "optim/types.hpp"
-#include "quantum/circuit.hpp"
 #include "quantum/statevector.hpp"
 
 namespace qaoaml::core {
@@ -35,7 +30,8 @@ namespace qaoaml::core {
 /// A MaxCut-QAOA problem instance of fixed depth.
 class MaxCutQaoa {
  public:
-  /// Requires a graph with >= 2 nodes and >= 1 edge, depth >= 1.
+  /// Requires a graph with >= 1 edge and at most quantum::kMaxQubits
+  /// nodes, and depth >= 1; checked before the 2^n cut table is built.
   MaxCutQaoa(graph::Graph g, int depth);
 
   int depth() const { return depth_; }
@@ -51,28 +47,25 @@ class MaxCutQaoa {
   optim::Bounds bounds() const;
 
   /// True when every cut value is an integer (unweighted graphs); the
-  /// fast path then uses the power-table phase separator.
+  /// layer then uses the power-table phase separator.
   bool has_integer_spectrum() const { return integral_; }
 
-  /// |psi(gamma, beta)> via the fast path.
+  /// |psi(gamma, beta)>.
   quantum::Statevector state(std::span<const double> params) const;
 
-  /// Fast-path |psi(gamma, beta)> written into `workspace`, reusing its
+  /// |psi(gamma, beta)> written into `workspace`, reusing its
   /// amplitude buffer (no allocation when the dimension matches).  This
   /// is the batch-evaluation hot path.
   void state_into(quantum::Statevector& workspace,
                   std::span<const double> params) const;
 
-  /// <C> via the fast path.
+  /// <C> of the prepared state.
   double expectation(std::span<const double> params) const;
 
   /// <C> evaluated in `workspace` — identical value to expectation(),
   /// without the per-call 2^n allocation.
   double expectation_using(quantum::Statevector& workspace,
                            std::span<const double> params) const;
-
-  /// <C> via explicit gate-by-gate simulation of the ansatz circuit.
-  double expectation_gate_level(std::span<const double> params) const;
 
   /// Finite-shot estimate of <C> (Born-rule sampling).  Convenience
   /// wrapper over sampled_expectation_using with private workspaces —
@@ -125,18 +118,14 @@ class MaxCutQaoa {
   optim::ObjectiveFn buffered_objective(const EvalSpec& spec,
                                         std::uint64_t stream_seed) const;
 
-  /// The explicit ansatz circuit (built once, shared).
-  const quantum::Circuit& ansatz() const { return circuit_; }
-
  private:
   graph::Graph graph_;
   int depth_;
   ising::DiagonalHamiltonian hamiltonian_;
   double max_cut_ = 0.0;
-  quantum::Circuit circuit_;
 
   bool integral_ = false;
-  std::vector<int> int_diagonal_;  // cut values as integers (fast path)
+  std::vector<int> int_diagonal_;  // cut values as integers
   int max_int_value_ = 0;
 };
 

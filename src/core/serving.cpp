@@ -16,6 +16,7 @@
 #include "core/angles.hpp"
 #include "core/batch_evaluator.hpp"
 #include "core/qaoa_solver.hpp"
+#include "quantum/statevector.hpp"
 
 namespace qaoaml::core::serving {
 
@@ -61,9 +62,9 @@ void encode_graph(wire::PayloadWriter& writer, const graph::Graph& g) {
 
 graph::Graph decode_graph(wire::PayloadReader& reader) {
   const std::uint32_t nodes = reader.u32();
-  // The statevector is 2^nodes complex doubles; anything beyond ~30
-  // qubits is a corrupt or hostile request, not a workload.
-  if (nodes > 30) {
+  // Every mode builds a 2^nodes cut table and statevector: a graph
+  // beyond the simulator's cap is rejected here, before any allocation.
+  if (nodes > static_cast<std::uint32_t>(quantum::kMaxQubits)) {
     throw InvalidArgument("serving: graph too large (" +
                           std::to_string(nodes) + " nodes)");
   }

@@ -279,7 +279,10 @@ OrchestratorReport run_shards(const OrchestratorConfig& config) {
                              return a.ready < b.ready;
                            });
       if (Clock::now() < next->ready) {
-        shared.scheduler_cv.wait_until(lock, next->ready);
+        // By value: wait_until re-reads its deadline after waking, and a
+        // monitor's push_back may have reallocated `delayed` meanwhile.
+        const Clock::time_point ready = next->ready;
+        shared.scheduler_cv.wait_until(lock, ready);
         continue;
       }
       const Attempt item = next->item;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -20,11 +21,17 @@ inline int kernel_threads(std::size_t dim) {
   return dim >= kAmplitudeParallelDim ? default_thread_count() : 1;
 }
 
+void require_qubit_count(int num_qubits) {
+  if (num_qubits < 1 || num_qubits > kMaxQubits) {
+    throw InvalidArgument("Statevector: supports 1.." +
+                          std::to_string(kMaxQubits) + " qubits");
+  }
+}
+
 }  // namespace
 
 Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits) {
-  require(num_qubits >= 1 && num_qubits <= 26,
-          "Statevector: supports 1..26 qubits");
+  require_qubit_count(num_qubits);
   amps_.assign(std::size_t{1} << num_qubits, Complex{0.0, 0.0});
   amps_[0] = Complex{1.0, 0.0};
 }
@@ -51,8 +58,7 @@ Statevector Statevector::uniform(int num_qubits) {
 }
 
 void Statevector::reset_uniform(int num_qubits) {
-  require(num_qubits >= 1 && num_qubits <= 26,
-          "Statevector: supports 1..26 qubits");
+  require_qubit_count(num_qubits);
   num_qubits_ = num_qubits;
   const std::size_t dim = std::size_t{1} << num_qubits;
   if (amps_.size() != dim) amps_.resize(dim);

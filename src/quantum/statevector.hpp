@@ -45,10 +45,16 @@ using AmpVector = std::vector<Complex, AlignedAllocator<Complex, kAmplitudeAlign
 /// when choosing between batch-parallel and amplitude-parallel.
 inline constexpr std::size_t kAmplitudeParallelDim = std::size_t{2} * kParallelGrain;
 
+/// The largest state the simulator holds: 2^26 amplitudes, 1 GiB.  Every
+/// size check on a problem that becomes a state (Statevector itself,
+/// MaxCutQaoa, the serving decoder) uses this one bound.
+inline constexpr int kMaxQubits = 26;
+
 /// Dense n-qubit quantum state.
 class Statevector {
  public:
-  /// |0...0> on `num_qubits` qubits.  Requires 1 <= num_qubits <= 26.
+  /// |0...0> on `num_qubits` qubits.  Requires
+  /// 1 <= num_qubits <= kMaxQubits.
   explicit Statevector(int num_qubits);
 
   /// Builds a state from explicit amplitudes (length must be a power of

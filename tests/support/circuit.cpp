@@ -1,4 +1,4 @@
-#include "quantum/circuit.hpp"
+#include "support/circuit.hpp"
 
 #include <algorithm>
 #include <sstream>

@@ -1,12 +1,13 @@
-// Parametric quantum circuit intermediate representation.
+// Parametric quantum circuit intermediate representation (test side).
 //
 // A Circuit is an ordered list of gate operations; rotation angles may be
 // bound to entries of an external parameter vector through affine
-// expressions (angle = offset + coeff * params[index]).  The QAOA ansatz
-// builds one Circuit per (graph, depth) and re-simulates it with new
-// parameters on every optimizer iteration.
-#ifndef QAOAML_QUANTUM_CIRCUIT_HPP
-#define QAOAML_QUANTUM_CIRCUIT_HPP
+// expressions (angle = offset + coeff * params[index]).  The library
+// never builds one: the tests simulate explicit CNOT/RZ/RX ansatz
+// circuits gate by gate on the Statevector primitives as the reference
+// oracle for the fused QAOA layer (support/qaoa_reference.hpp).
+#ifndef QAOAML_TESTS_SUPPORT_CIRCUIT_HPP
+#define QAOAML_TESTS_SUPPORT_CIRCUIT_HPP
 
 #include <cstddef>
 #include <span>
@@ -119,4 +120,4 @@ class Circuit {
 
 }  // namespace qaoaml::quantum
 
-#endif  // QAOAML_QUANTUM_CIRCUIT_HPP
+#endif  // QAOAML_TESTS_SUPPORT_CIRCUIT_HPP

@@ -7,10 +7,11 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/angles.hpp"
-#include "core/qaoa_circuit.hpp"
 #include "core/qaoa_objective.hpp"
 #include "core/qaoa_solver.hpp"
 #include "graph/generators.hpp"
+#include "quantum/statevector.hpp"
+#include "support/qaoa_reference.hpp"
 
 namespace qaoaml::core {
 namespace {
@@ -19,7 +20,7 @@ TEST(Ansatz, GateCountsMatchFormula) {
   Rng rng(1);
   const graph::Graph g = graph::random_regular(8, 3, rng);
   const int p = 3;
-  const AnsatzCost cost = ansatz_cost(g, p);
+  const oracle::AnsatzCost cost = oracle::ansatz_cost(g, p);
   const std::size_t m = g.num_edges();
   const std::size_t n = static_cast<std::size_t>(g.num_nodes());
   EXPECT_EQ(cost.h_count, n);
@@ -33,7 +34,7 @@ TEST(Ansatz, ReferencesTwoParametersPerStage) {
   Rng rng(2);
   const graph::Graph g = graph::erdos_renyi_gnp(6, 0.5, rng);
   for (int p : {1, 2, 4}) {
-    const quantum::Circuit c = build_maxcut_ansatz(g, p);
+    const quantum::Circuit c = oracle::build_maxcut_ansatz(g, p);
     EXPECT_EQ(c.num_parameters(), 2 * p);
   }
 }
@@ -50,6 +51,10 @@ TEST(Objective, NumParametersAndBounds) {
 TEST(Objective, RejectsDegenerateInstances) {
   EXPECT_THROW(MaxCutQaoa(graph::Graph(3), 1), InvalidArgument);  // no edges
   EXPECT_THROW(MaxCutQaoa(graph::cycle_graph(4), 0), InvalidArgument);
+  // Beyond the simulator's cap; checked before the 2^n cut table (1 GiB
+  // at 27 nodes) is built.
+  EXPECT_THROW(MaxCutQaoa(graph::cycle_graph(quantum::kMaxQubits + 1), 1),
+               InvalidArgument);
 }
 
 TEST(Objective, DetectsIntegerSpectrum) {
@@ -91,7 +96,7 @@ TEST_P(PathEquivalenceTest, FastAndGatePathsAgree) {
   for (int trial = 0; trial < 5; ++trial) {
     const std::vector<double> params = random_angles(c.depth, rng);
     EXPECT_NEAR(instance.expectation(params),
-                instance.expectation_gate_level(params), 1e-11);
+                oracle::gate_level_expectation(instance, params), 1e-11);
   }
 }
 

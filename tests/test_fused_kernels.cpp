@@ -1,16 +1,17 @@
 // Differential tests for the fused QAOA layer kernels.
 //
 // The fused path (Statevector::apply_qaoa_layer*) restructures each
-// QAOA layer into a few blocked sweeps; these tests pin it against the
-// unfused reference (diagonal evolution + one RX gate pass per qubit)
-// and the gate-by-gate ansatz simulation on randomized graphs, angles,
-// depths and qubit counts, and check norm preservation, thread-count
-// determinism, the runtime kernel switch, and argument validation.
+// QAOA layer into a few blocked sweeps; it is the library's only layer
+// path.  These tests pin it against the test-side reference oracle
+// (tests/support/qaoa_reference.hpp): the unfused layer (diagonal
+// evolution + one RX gate pass per qubit) and the gate-by-gate ansatz
+// simulation, on randomized graphs, angles, depths and qubit counts.
+// They also check norm preservation, thread-count determinism, and
+// argument validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,15 +20,13 @@
 #include "core/angles.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
-#include "quantum/sim_config.hpp"
 #include "quantum/statevector.hpp"
+#include "support/qaoa_reference.hpp"
 
 namespace qaoaml {
 namespace {
 
 using quantum::Complex;
-using quantum::LayerKernel;
-using quantum::ScopedLayerKernel;
 using quantum::Statevector;
 
 /// Fused vs unfused must agree far below this on every amplitude (the
@@ -47,14 +46,6 @@ Statevector random_state(int num_qubits, Rng& rng) {
   const double scale = 1.0 / std::sqrt(norm_sq);
   for (Complex& a : amps) a *= scale;
   return Statevector::from_amplitudes(std::move(amps));
-}
-
-/// The unfused reference for one QAOA layer.
-void reference_layer(Statevector& sv, const std::vector<double>& diag,
-                     double gamma, double beta) {
-  sv.apply_diagonal_evolution(diag, gamma);
-  const quantum::Gate1Q mixer = quantum::gates::rx(beta);
-  for (int q = 0; q < sv.num_qubits(); ++q) sv.apply_gate(mixer, q);
 }
 
 double max_amp_diff(const Statevector& a, const Statevector& b) {
@@ -92,7 +83,7 @@ TEST(FusedLayer, MatchesUnfusedOnRandomStatesAndDiagonals) {
     const double beta = rng.uniform(-M_PI, M_PI);
 
     fused.apply_qaoa_layer(diag, gamma, beta);
-    reference_layer(reference, diag, gamma, beta);
+    oracle::apply_unfused_layer(reference, diag, gamma, beta);
 
     EXPECT_LE(max_amp_diff(fused, reference), kAmpTol) << "n=" << n;
   }
@@ -149,15 +140,9 @@ TEST(FusedQaoa, StateMatchesUnfusedPathOnRandomGraphs) {
       const core::MaxCutQaoa instance(g, p);
       const std::vector<double> params = core::random_angles(p, rng);
       Statevector fused = Statevector::uniform(n);
-      Statevector unfused = Statevector::uniform(n);
-      {
-        const ScopedLayerKernel guard(LayerKernel::kFused);
-        instance.state_into(fused, params);
-      }
-      {
-        const ScopedLayerKernel guard(LayerKernel::kUnfused);
-        instance.state_into(unfused, params);
-      }
+      instance.state_into(fused, params);
+      const Statevector unfused =
+          oracle::unfused_reference_state(instance, params);
       EXPECT_LE(max_amp_diff(fused, unfused), kAmpTol)
           << "n=" << n << " p=" << p;
       EXPECT_NEAR(fused.norm(), 1.0, 1e-12) << "n=" << n << " p=" << p;
@@ -178,22 +163,16 @@ TEST(FusedQaoa, StateMatchesUnfusedPathOnWeightedGraphs) {
     ASSERT_FALSE(instance.has_integer_spectrum());
     const std::vector<double> params = core::random_angles(3, rng);
     Statevector fused = Statevector::uniform(n);
-    Statevector unfused = Statevector::uniform(n);
-    {
-      const ScopedLayerKernel guard(LayerKernel::kFused);
-      instance.state_into(fused, params);
-    }
-    {
-      const ScopedLayerKernel guard(LayerKernel::kUnfused);
-      instance.state_into(unfused, params);
-    }
+    instance.state_into(fused, params);
+    const Statevector unfused =
+        oracle::unfused_reference_state(instance, params);
     EXPECT_LE(max_amp_diff(fused, unfused), kAmpTol) << "n=" << n;
   }
 }
 
 TEST(FusedQaoa, ExpectationMatchesGateLevelSimulation) {
   // The gate path builds the state through hundreds of CNOT/RZ/RX
-  // applications, so it accumulates more rounding than the fast paths;
+  // applications, so it accumulates more rounding than the layer paths;
   // the observed gap stays below ~3e-13 for these sizes.
   Rng rng(0xC0DE);
   for (int n : {3, 6, 9, 12}) {
@@ -201,9 +180,8 @@ TEST(FusedQaoa, ExpectationMatchesGateLevelSimulation) {
     for (int p = 1; p <= 4; ++p) {
       const core::MaxCutQaoa instance(g, p);
       const std::vector<double> params = core::random_angles(p, rng);
-      const ScopedLayerKernel guard(LayerKernel::kFused);
       EXPECT_NEAR(instance.expectation(params),
-                  instance.expectation_gate_level(params), 1e-12)
+                  oracle::gate_level_expectation(instance, params), 1e-12)
           << "n=" << n << " p=" << p;
     }
   }
@@ -220,7 +198,6 @@ TEST(FusedQaoa, AmplitudesBitIdenticalAcrossThreadCounts) {
   const graph::Graph g = graph::random_regular(16, 3, rng);
   const core::MaxCutQaoa instance(g, 2);
   const std::vector<double> params = core::random_angles(2, rng);
-  const ScopedLayerKernel guard(LayerKernel::kFused);
 
   quantum::AmpVector baseline;
   {
@@ -238,33 +215,6 @@ TEST(FusedQaoa, AmplitudesBitIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(mismatches, 0u) << "threads=" << threads;
   }
-}
-
-// ---------------------------------------------------------------------
-// The runtime kernel switch.
-// ---------------------------------------------------------------------
-
-TEST(LayerKernelConfig, ScopedOverrideWinsAndRestores) {
-  const LayerKernel ambient = quantum::default_layer_kernel();
-  {
-    const ScopedLayerKernel outer(LayerKernel::kUnfused);
-    EXPECT_EQ(quantum::default_layer_kernel(), LayerKernel::kUnfused);
-    EXPECT_FALSE(quantum::fused_kernels_enabled());
-    {
-      const ScopedLayerKernel inner(LayerKernel::kFused);
-      EXPECT_EQ(quantum::default_layer_kernel(), LayerKernel::kFused);
-      EXPECT_TRUE(quantum::fused_kernels_enabled());
-    }
-    EXPECT_EQ(quantum::default_layer_kernel(), LayerKernel::kUnfused);
-  }
-  EXPECT_EQ(quantum::default_layer_kernel(), ambient);
-}
-
-TEST(LayerKernelConfig, DefaultsToFusedWithoutEnvOverride) {
-  if (std::getenv("QAOAML_FUSED") != nullptr) {
-    GTEST_SKIP() << "QAOAML_FUSED set in the environment";
-  }
-  EXPECT_TRUE(quantum::fused_kernels_enabled());
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,9 @@
 // kernel change that shifts an expectation beyond kGoldenTol breaks
 // these tests with a message naming the case and the drift, which is
 // the point: silent numerical regressions in fast paths must be loud.
+// The library's fused layer is checked under every SIMD tier; the
+// test-side unfused and gate-level references (tests/support) are
+// checked against the same fixtures.
 //
 // If a change legitimately alters these values (it should not — they
 // are exact physical quantities, not implementation artifacts), the
@@ -24,7 +27,7 @@
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
 #include "quantum/dispatch.hpp"
-#include "quantum/sim_config.hpp"
+#include "support/qaoa_reference.hpp"
 
 namespace qaoaml {
 namespace {
@@ -153,23 +156,26 @@ const GoldenSampledCase kGoldenSampledCases[] = {
     {"sampled_ensemble_mixed_seed0x5EED06", &ensemble_mixed, 5.34765625},
 };
 
-/// Every (layer kernel, SIMD tier) combination must reproduce the
-/// committed fixtures; tiers the CPU lacks are skipped.
-using GoldenPathCase = std::tuple<quantum::LayerKernel, quantum::SimdTier>;
+/// The library's one QAOA layer path.  It stays in the parameter tuple
+/// because the test IDs print GetParam(), and the tuple keeps them
+/// stable.
+enum class LayerPath { kFused };
 
+using GoldenPathCase = std::tuple<LayerPath, quantum::SimdTier>;
+
+/// Every SIMD tier must reproduce the committed fixtures; tiers the CPU
+/// lacks are skipped.
 class GoldenRegression : public ::testing::TestWithParam<GoldenPathCase> {
  protected:
   void SetUp() override {
-    const auto [kernel, tier] = GetParam();
+    const quantum::SimdTier tier = std::get<1>(GetParam());
     if (!quantum::simd_tier_supported(tier)) {
       GTEST_SKIP() << quantum::to_string(tier) << " unsupported on this CPU";
     }
-    kernel_guard_.emplace(kernel);
     tier_guard_.emplace(tier);
   }
 
  private:
-  std::optional<quantum::ScopedLayerKernel> kernel_guard_;
   std::optional<quantum::ScopedSimdTier> tier_guard_;
 };
 
@@ -200,18 +206,42 @@ TEST_P(GoldenRegression, ExpectationsMatchCommittedFixtures) {
 }
 
 // The gate-by-gate ansatz simulation must reproduce the same fixtures:
-// this catches regressions that corrupt the fast paths and the circuit
+// this catches regressions that corrupt the fused path and the circuit
 // path in the same way only if both break identically, and otherwise
 // localizes which layer drifted.
 TEST(GoldenRegression, GateLevelPathMatchesFixtures) {
   for (const GoldenCase& c : kGoldenCases) {
     const core::MaxCutQaoa instance(c.make(), c.depth);
-    const double actual = instance.expectation_gate_level(c.params);
+    const double actual = oracle::gate_level_expectation(instance, c.params);
     EXPECT_NEAR(actual, c.expected, kGoldenTol)
         << "Golden fixture '" << c.name
         << "' drifted on the gate-level path: expected <C> = "
         << ::testing::PrintToString(c.expected) << ", got "
         << ::testing::PrintToString(actual) << ".";
+  }
+}
+
+// The unfused layer sequence (diagonal evolution + one RX gate pass per
+// qubit) runs on the dispatched gate primitives, so it is checked
+// against the fixtures on every tier this CPU supports.
+TEST(GoldenRegression, UnfusedReferenceMatchesFixtures) {
+  for (quantum::SimdTier tier :
+       {quantum::SimdTier::kScalar, quantum::SimdTier::kAvx2,
+        quantum::SimdTier::kAvx512}) {
+    if (!quantum::simd_tier_supported(tier)) continue;
+    const quantum::ScopedSimdTier guard(tier);
+    for (const GoldenCase& c : kGoldenCases) {
+      const core::MaxCutQaoa instance(c.make(), c.depth);
+      const double actual =
+          oracle::unfused_reference_state(instance, c.params)
+              .expectation_diagonal(instance.hamiltonian().diagonal());
+      EXPECT_NEAR(actual, c.expected, kGoldenTol)
+          << "Golden fixture '" << c.name
+          << "' drifted on the unfused reference path ("
+          << quantum::to_string(tier) << "): expected <C> = "
+          << ::testing::PrintToString(c.expected) << ", got "
+          << ::testing::PrintToString(actual) << ".";
+    }
   }
 }
 
@@ -239,16 +269,13 @@ TEST_P(GoldenRegression, SampledExpectationsMatchCommittedFixturesBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Paths, GoldenRegression,
-    ::testing::Combine(::testing::Values(quantum::LayerKernel::kFused,
-                                         quantum::LayerKernel::kUnfused),
+    ::testing::Combine(::testing::Values(LayerPath::kFused),
                        ::testing::Values(quantum::SimdTier::kScalar,
                                          quantum::SimdTier::kAvx2,
                                          quantum::SimdTier::kAvx512)),
     [](const ::testing::TestParamInfo<GoldenPathCase>& info) {
-      const std::string kernel =
-          std::get<0>(info.param) == quantum::LayerKernel::kFused ? "fused"
-                                                                  : "unfused";
-      return kernel + "_" + quantum::to_string(std::get<1>(info.param));
+      return std::string("fused_") +
+             quantum::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

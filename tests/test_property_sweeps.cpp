@@ -15,7 +15,6 @@
 #include "graph/maxcut.hpp"
 #include "optim/optimizer.hpp"
 #include "quantum/dispatch.hpp"
-#include "quantum/sim_config.hpp"
 #include "quantum/statevector.hpp"
 
 namespace qaoaml {
@@ -197,28 +196,30 @@ TEST(WeightScaling, ExpectationScalesWithUniformWeights) {
 
 // ---------------------------------------------------------------------
 // Sweep 5: simulator-path invariances — physical symmetries of the QAOA
-// energy, each checked on every (layer kernel, SIMD tier) combination:
-// fused and unfused sweeps, each under the scalar, AVX2 and AVX-512
-// dispatch tiers (tiers this CPU lacks are skipped).
+// energy, each checked on the fused layer under the scalar, AVX2 and
+// AVX-512 dispatch tiers (tiers this CPU lacks are skipped).
 // ---------------------------------------------------------------------
 
-using SimPathCase = std::tuple<quantum::LayerKernel, quantum::SimdTier>;
+/// The library's one QAOA layer path.  It stays in the parameter tuple
+/// because the test IDs print GetParam(), and the tuple keeps them
+/// stable.
+enum class LayerPath { kFused };
+
+using SimPathCase = std::tuple<LayerPath, quantum::SimdTier>;
 
 class SimulatorPathSweep : public ::testing::TestWithParam<SimPathCase> {
  protected:
-  /// Skips tiers this CPU cannot execute; otherwise pins both switches
-  /// for the duration of the test body.
+  /// Skips tiers this CPU cannot execute; otherwise pins the tier for
+  /// the duration of the test body.
   void SetUp() override {
-    const auto [kernel, tier] = GetParam();
+    const quantum::SimdTier tier = std::get<1>(GetParam());
     if (!quantum::simd_tier_supported(tier)) {
       GTEST_SKIP() << quantum::to_string(tier) << " unsupported on this CPU";
     }
-    kernel_guard_.emplace(kernel);
     tier_guard_.emplace(tier);
   }
 
  private:
-  std::optional<quantum::ScopedLayerKernel> kernel_guard_;
   std::optional<quantum::ScopedSimdTier> tier_guard_;
 };
 
@@ -312,7 +313,7 @@ TEST_P(SimulatorPathSweep, ScaledWeightsShrinkTheGammaPeriod) {
 }
 
 TEST_P(SimulatorPathSweep, NormPreservedOverDeepCircuits) {
-  // Unitarity holds on every path; the small qubit counts force the
+  // Unitarity holds on every tier; the small qubit counts force the
   // vector kernels through their remainder lanes (dim 2 and 4 are below
   // one full AVX-512 vector of amplitudes).
   Rng rng(0x0112);
@@ -351,16 +352,13 @@ TEST_P(SimulatorPathSweep, OddLaneSizesMatchTheScalarTierBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Paths, SimulatorPathSweep,
-    ::testing::Combine(::testing::Values(quantum::LayerKernel::kFused,
-                                         quantum::LayerKernel::kUnfused),
+    ::testing::Combine(::testing::Values(LayerPath::kFused),
                        ::testing::Values(quantum::SimdTier::kScalar,
                                          quantum::SimdTier::kAvx2,
                                          quantum::SimdTier::kAvx512)),
     [](const ::testing::TestParamInfo<SimPathCase>& info) {
-      const std::string kernel =
-          std::get<0>(info.param) == quantum::LayerKernel::kFused ? "fused"
-                                                                  : "unfused";
-      return kernel + "_" + quantum::to_string(std::get<1>(info.param));
+      return std::string("fused_") +
+             quantum::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

@@ -8,9 +8,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/statevector.hpp"
+#include "support/circuit.hpp"
 
 namespace qaoaml::quantum {
 namespace {

@@ -26,6 +26,8 @@
 #include "core/serving.hpp"
 #include "core/serving_client.hpp"
 #include "core/two_level_solver.hpp"
+#include "graph/generators.hpp"
+#include "quantum/statevector.hpp"
 
 namespace qaoaml::core::serving {
 namespace {
@@ -162,6 +164,21 @@ TEST_F(ServingTest, DecodeRequestRejectsHostilePayloads) {
   std::string bytes = encode_request(probe);
   bytes += "x";
   EXPECT_THROW(decode_request(kPredictRequest, bytes), InvalidArgument);
+
+  // A graph one node past the simulator's cap, in both modes that build
+  // its 2^n cut table and state; a graph at the cap still decodes.
+  for (Mode mode : {Mode::kWarmStart, Mode::kSolve}) {
+    Request request;
+    request.mode = mode;
+    request.problem = graph::cycle_graph(quantum::kMaxQubits);
+    EXPECT_EQ(decode_request(request_frame_type(mode), encode_request(request))
+                  .problem.num_nodes(),
+              quantum::kMaxQubits);
+    request.problem = graph::cycle_graph(quantum::kMaxQubits + 1);
+    EXPECT_THROW(
+        decode_request(request_frame_type(mode), encode_request(request)),
+        InvalidArgument);
+  }
 }
 
 TEST_F(ServingTest, SampledEvalBlockRoundTripsAndExactStaysOldProtocol) {

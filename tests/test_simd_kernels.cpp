@@ -7,9 +7,10 @@
 //  - primitive level: every KernelTable entry of every supported vector
 //    tier against the scalar table, on lengths that exercise the vector
 //    body, the 256-bit step and the scalar remainder lanes;
-//  - state level: MaxCutQaoa::state_into under each forced tier against
-//    the scalar tier (== on doubles), and against the gate-by-gate
-//    simulation to 1e-12, across qubit counts and depths;
+//  - state level: MaxCutQaoa::state_into and IsingQaoa::state under
+//    each forced tier against the scalar tier (== on doubles), and
+//    against the test-side gate-by-gate simulation (tests/support) to
+//    1e-12, across qubit counts and depths;
 //  - scheduling level: bit-determinism across thread counts and the
 //    amplitude-sharding batch branch, plus the dispatcher's selection
 //    grammar (ScopedSimdTier > QAOAML_SIMD > CPUID) and the 64-byte
@@ -30,12 +31,15 @@
 #include "common/rng.hpp"
 #include "core/angles.hpp"
 #include "core/batch_evaluator.hpp"
+#include "core/ising_qaoa.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
+#include "ising/ising_model.hpp"
 #include "quantum/aligned.hpp"
 #include "quantum/dispatch.hpp"
 #include "quantum/simd_kernels.hpp"
 #include "quantum/statevector.hpp"
+#include "support/qaoa_reference.hpp"
 
 namespace qaoaml {
 namespace {
@@ -403,7 +407,9 @@ TEST(SimdQaoa, DispatchedStateBitIdenticalToScalarAcrossQubitsAndDepths) {
 
 TEST(SimdQaoa, DispatchedStateBitIdenticalToScalarOnWeightedGraphs) {
   // Random weights force the general (cos/sin per amplitude) phase
-  // branch instead of the integral phase table.
+  // branch instead of the integral phase table.  The last input is a
+  // weighted Ising model with nonzero fields, prepared by IsingQaoa on
+  // the same fused layer.
   const std::vector<SimdTier> tiers = supported_vector_tiers();
   if (tiers.empty()) GTEST_SKIP() << "no vector tier on this CPU";
   Rng rng(0xAB1E);
@@ -433,6 +439,30 @@ TEST(SimdQaoa, DispatchedStateBitIdenticalToScalarOnWeightedGraphs) {
       EXPECT_EQ(mismatches, 0u) << quantum::to_string(tier) << " n=" << n;
     }
   }
+
+  ising::IsingModel model(11);
+  for (int i = 0; i < 11; ++i) {
+    model.set_field(i, rng.uniform(-1.0, 1.0));
+    model.add_coupling(i, (i + 3) % 11, rng.uniform(-1.5, 1.5));
+  }
+  const core::IsingQaoa ising_instance(model, 3);
+  const std::vector<double> params = core::random_angles(3, rng);
+  Statevector scalar_state = Statevector::uniform(1);
+  {
+    const ScopedSimdTier guard(SimdTier::kScalar);
+    scalar_state = ising_instance.state(params);
+  }
+  for (SimdTier tier : tiers) {
+    const ScopedSimdTier guard(tier);
+    const Statevector state = ising_instance.state(params);
+    std::size_t mismatches = 0;
+    for (std::size_t z = 0; z < state.dimension(); ++z) {
+      if (!bits_equal(state.amplitudes()[z], scalar_state.amplitudes()[z])) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << quantum::to_string(tier) << " ising n=11";
+  }
 }
 
 TEST(SimdQaoa, EveryTierMatchesGateLevelSimulation) {
@@ -442,7 +472,8 @@ TEST(SimdQaoa, EveryTierMatchesGateLevelSimulation) {
     for (int p = 1; p <= 4; ++p) {
       const core::MaxCutQaoa instance(g, p);
       const std::vector<double> params = core::random_angles(p, rng);
-      const double gate_level = instance.expectation_gate_level(params);
+      const double gate_level =
+          oracle::gate_level_expectation(instance, params);
       for (SimdTier tier : supported_tiers()) {
         const ScopedSimdTier guard(tier);
         EXPECT_NEAR(instance.expectation(params), gate_level, kGateTol)
