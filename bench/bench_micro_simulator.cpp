@@ -141,7 +141,7 @@ void BM_QaoaLayerFused(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (1LL << qubits));
 }
-BENCHMARK(BM_QaoaLayerFused)->DenseRange(8, 20, 4);
+BENCHMARK(BM_QaoaLayerFused)->DenseRange(8, 24, 2);
 
 // A p=2, 16-qubit QAOA objective evaluation through BatchEvaluator.
 void BM_QaoaObjectiveP2Q16(benchmark::State& state) {

@@ -35,6 +35,13 @@ inline void require(bool condition, const std::string& msg) {
   if (!condition) throw InvalidArgument(msg);
 }
 
+/// The same for a literal message: the exception's string is built only
+/// when the check fails, so a passing check on a hot path allocates
+/// nothing (the std::string overload would build `msg` first).
+inline void require(bool condition, const char* msg) {
+  if (!condition) throw InvalidArgument(msg);
+}
+
 }  // namespace qaoaml
 
 #endif  // QAOAML_COMMON_ERROR_HPP

@@ -162,36 +162,13 @@ ScopedThreadCount::~ScopedThreadCount() {
   thread_override.store(previous_, std::memory_order_relaxed);
 }
 
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body, int threads) {
-  if (count == 0) return;
-  if (threads <= 1 || count == 1 || tls_in_parallel_region) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  ThreadPool::instance().run(
-      count, static_cast<int>(std::min<std::size_t>(
-                 static_cast<std::size_t>(threads), count)),
-      body);
+namespace detail {
+
+void run_on_pool(std::size_t count,
+                 const std::function<void(std::size_t)>& body, int threads) {
+  ThreadPool::instance().run(count, threads, body);
 }
 
-void parallel_for_range(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body, int threads) {
-  if (count == 0) return;
-  const std::size_t blocks = (count + kParallelGrain - 1) / kParallelGrain;
-  if (threads <= 1 || blocks <= 1 || tls_in_parallel_region) {
-    body(0, count);
-    return;
-  }
-  parallel_for(
-      blocks,
-      [&](std::size_t b) {
-        const std::size_t begin = b * kParallelGrain;
-        body(begin, std::min(count, begin + kParallelGrain));
-      },
-      static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(threads), blocks)));
-}
+}  // namespace detail
 
 }  // namespace qaoaml

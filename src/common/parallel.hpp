@@ -53,21 +53,55 @@ class ScopedThreadCount {
 inline constexpr int kParallelGrainLog2 = 14;
 inline constexpr std::size_t kParallelGrain = std::size_t{1} << kParallelGrainLog2;
 
+namespace detail {
+/// Runs body(i) for every i in [0, count) on the persistent pool with
+/// `threads` workers, the calling thread among them (2 <= threads <=
+/// count, not inside a parallel region).
+void run_on_pool(std::size_t count,
+                 const std::function<void(std::size_t)>& body, int threads);
+}  // namespace detail
+
 /// Runs body(i) for every i in [0, count) across `threads` workers.
 /// Indices are dispatched dynamically; bodies writing disjoint state
 /// need no synchronization.  Exceptions thrown by the body are rethrown
-/// (the first one observed) after all workers finish.
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body,
-                  int threads = default_thread_count());
+/// (the first one observed) after all workers finish.  A single index,
+/// a single thread or a nested call runs inline, before the body is
+/// type-erased; the pool path erases a reference to it, so no call
+/// allocates.
+template <typename Body>
+void parallel_for(std::size_t count, Body&& body,
+                  int threads = default_thread_count()) {
+  if (count == 0) return;
+  if (threads <= 1 || count == 1 || in_parallel_region()) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  detail::run_on_pool(count, std::ref(body),
+                      static_cast<int>(std::min<std::size_t>(
+                          static_cast<std::size_t>(threads), count)));
+}
 
 /// Runs body(begin, end) over a blocked partition of [0, count): blocks
 /// are kParallelGrain elements (the last one ragged).  Small ranges that
 /// fit in one block run inline on the calling thread.
-void parallel_for_range(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    int threads = default_thread_count());
+template <typename Body>
+void parallel_for_range(std::size_t count, Body&& body,
+                        int threads = default_thread_count()) {
+  if (count == 0) return;
+  const std::size_t blocks = (count + kParallelGrain - 1) / kParallelGrain;
+  if (threads <= 1 || blocks <= 1 || in_parallel_region()) {
+    body(std::size_t{0}, count);
+    return;
+  }
+  parallel_for(
+      blocks,
+      [&](std::size_t b) {
+        const std::size_t begin = b * kParallelGrain;
+        body(begin, std::min(count, begin + kParallelGrain));
+      },
+      static_cast<int>(std::min<std::size_t>(
+          static_cast<std::size_t>(threads), blocks)));
+}
 
 /// Blocked reduction: sums block_sum(begin, end) over the same fixed
 /// partition parallel_for_range uses, accumulating partials in block

@@ -109,7 +109,7 @@ std::vector<double> BatchEvaluator::expectations(
   for_each_chunk(
       jobs.size(), max_job_qubits(jobs),
       [&](std::size_t begin, std::size_t end) {
-        // reset_uniform only reallocates when the qubit count changes,
+        // A state build only reallocates when the qubit count changes,
         // so a chunk of same-size instances reuses one buffer
         // throughout.
         quantum::Statevector workspace =

@@ -19,10 +19,9 @@
 //    entries run sequentially on the calling thread and each
 //    evaluation's amplitude kernels fan out over the whole pool, so ONE
 //    large-n objective evaluation saturates the machine;
-//  - every evaluation runs through MaxCutQaoa::state_into and therefore
-//    honors the fused/unfused layer-kernel switch
-//    (quantum::default_layer_kernel()); the fused default collapses each
-//    QAOA layer into a few blocked sweeps instead of n + 1 gate passes.
+//  - every evaluation runs through MaxCutQaoa::state_into, the fused
+//    layer path: each QAOA layer is one or two blocked passes over the
+//    state instead of n + 1 gate passes (quantum/fused_kernels.hpp).
 //
 // Contracts:
 //  - **Determinism.**  Entry i of the output depends only on entry i of

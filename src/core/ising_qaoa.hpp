@@ -45,13 +45,27 @@ class IsingQaoa {
   /// |psi(gamma, beta)>, one fused layer per stage.
   quantum::Statevector state(std::span<const double> params) const;
 
+  /// |psi(gamma, beta)> written into `workspace`, reusing its amplitude
+  /// buffer (no allocation when the dimension matches).
+  void state_into(quantum::Statevector& workspace,
+                  std::span<const double> params) const;
+
   /// <H> of the prepared state.
   double expectation(std::span<const double> params) const;
+
+  /// <H> evaluated in `workspace`: the same bits as expectation(),
+  /// without the per-call 2^n allocation.
+  double expectation_using(quantum::Statevector& workspace,
+                           std::span<const double> params) const;
 
   /// expectation / max_value (assumes max_value > 0).
   double approximation_ratio(std::span<const double> params) const;
 
-  /// Minimization objective (-<H>); references this instance.
+  /// Minimization objective (-<H>); references this instance, which
+  /// must outlive it.  Calls reuse statevector workspaces shared by the
+  /// callable's copies: one per concurrent caller, created on first use
+  /// and freed with the last copy, so warm calls make no 2^n allocation
+  /// and one callable may still be shared across threads.
   optim::ObjectiveFn objective() const;
 
  private:

@@ -67,20 +67,23 @@ void MaxCutQaoa::state_into(quantum::Statevector& sv,
                             std::span<const double> params) const {
   require(params.size() == num_parameters(),
           "MaxCutQaoa::state_into: wrong parameter count");
-  sv.reset_uniform(graph_.num_nodes());
 
   // One tier lookup per state build, not per layer.
   const quantum::simd::KernelTable& kernels = quantum::simd::active_kernels();
   for (int stage = 0; stage < depth_; ++stage) {
     const double gamma = params[static_cast<std::size_t>(stage)];
     const double beta = params[static_cast<std::size_t>(depth_ + stage)];
+    // The first layer writes the uniform start itself (no reset pass).
+    const bool first = stage == 0;
     // int_diagonal_ entries are in [0, max_int_value_] by construction,
     // so the integral layer skips the per-call entry-range scan.
     if (integral_) {
       sv.apply_qaoa_layer_integral(int_diagonal_, gamma, max_int_value_, beta,
-                                   /*entries_prevalidated=*/true, kernels);
+                                   /*entries_prevalidated=*/true, kernels,
+                                   first);
     } else {
-      sv.apply_qaoa_layer(hamiltonian_.diagonal(), gamma, beta, kernels);
+      sv.apply_qaoa_layer(hamiltonian_.diagonal(), gamma, beta, kernels,
+                          first);
     }
   }
 }

@@ -66,14 +66,18 @@ SimdTier active_simd_tier() {
   const int over = tier_override.load(std::memory_order_relaxed);
   if (over != 0) return static_cast<SimdTier>(over - 1);
   if (const char* env = std::getenv("QAOAML_SIMD")) {
+    // Read on every state build: the messages are built only on failure.
     const std::optional<SimdTier> tier = parse_simd_tier(env);
-    require(tier.has_value(),
-            std::string("QAOAML_SIMD: unknown tier '") + env +
-                "' (expected scalar|avx2|avx512)");
-    require(simd_tier_supported(*tier),
-            std::string("QAOAML_SIMD=") + env +
-                ": this CPU does not support that tier (detected " +
-                to_string(detected_simd_tier()) + ")");
+    if (!tier) {
+      throw InvalidArgument(std::string("QAOAML_SIMD: unknown tier '") + env +
+                            "' (expected scalar|avx2|avx512)");
+    }
+    if (!simd_tier_supported(*tier)) {
+      throw InvalidArgument(
+          std::string("QAOAML_SIMD=") + env +
+          ": this CPU does not support that tier (detected " +
+          to_string(detected_simd_tier()) + ")");
+    }
     return *tier;
   }
   return detected_simd_tier();

@@ -5,118 +5,141 @@
 #include <cstddef>
 
 #include "common/parallel.hpp"
-#include "quantum/kernel_util.hpp"
 #include "quantum/simd_kernels.hpp"
 
 namespace qaoaml::quantum::fused {
 namespace {
 
-// Parallel grain blocks must contain whole sweep-1 tiles, so tile loops
-// never straddle a range boundary.
-static_assert(kBlockQubits <= kParallelGrainLog2,
-              "sweep-1 tiles must divide a parallel grain block");
+/// Tile geometry of one layer, as log2 amplitude counts.
+struct TileShape {
+  int sub;     ///< L1 sub-tile: the mix_tile levels 0..sub-1
+  int tile;    ///< pass-A tile: levels sub..tile-1 run over rows in it
+  int column;  ///< pass-B slice of each 2^tile row: levels tile..n-1
+};
 
-/// Sweep 1: phase + low-qubit mixer, tile by tile.  `phase_tile(lo, hi)`
-/// applies the diagonal phase to amplitudes [lo, hi); the tile is then
-/// still L1-hot for the butterfly levels.
-template <typename PhaseTile>
-void sweep_low(Complex* amps, std::size_t dim, int m, double c, double s,
-               int threads, const simd::KernelTable& kt,
-               PhaseTile&& phase_tile) {
-  const std::size_t tile_size = std::size_t{1} << m;
-  parallel_for_range(
-      dim,
-      [&](std::size_t begin, std::size_t end) {
-        // Ranges are grain blocks of a power-of-two dimension, so they
-        // hold whole tiles (static_assert above).
-        for (std::size_t lo = begin; lo < end; lo += tile_size) {
-          phase_tile(lo, lo + tile_size);
-          kt.mix_tile(amps + lo, m, c, s);
-        }
-      },
-      threads);
+/// Pass A keeps at least `threads` tiles while the tile stays at least
+/// one sub-tile; pass B keeps at least `threads` columns and about
+/// 2^l2 amplitudes per column tile, but rows of at least 2^(l2-8)
+/// amplitudes (4 KiB by default): at 26 qubits, 1 KiB rows made a layer
+/// 1.4x slower than 4 KiB rows in a 4 MiB tile, since short rows leave
+/// the hardware prefetcher too little to stream.  Bits never depend on
+/// the shape.
+TileShape tile_shape(int num_qubits, int threads, int l1, int l2) {
+  int spread = 0;  // tile-index bits that give every thread a tile
+  while ((1 << spread) < threads) ++spread;
+  const int sub = std::min(num_qubits, l1);
+  const int tile = std::max(sub, std::min({num_qubits, l2, num_qubits - spread}));
+  const int high = num_qubits - tile;
+  const int column =
+      std::max(0, std::min(tile - spread, std::max(l2 - high, l2 - 8)));
+  return {sub, tile, column};
 }
 
-/// Sweep-2 pass fusing two adjacent high levels t and t+1: the RX (x) RX
-/// butterfly over quadruples (i, i+s, i+2s, i+3s) with s = 2^t.  The
-/// quadruple index k enumerates basis states with bits t and t+1 clear;
-/// contiguous k runs of length s map to stride-1 runs in all four
-/// streams.
-void mix_high_pair(Complex* amps, std::size_t dim, int t, double c, double s,
-                   int threads, const simd::KernelTable& kt) {
-  const std::size_t stride = std::size_t{1} << t;
-  parallel_for_range(
-      dim / 4,
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t k = begin;
-        while (k < end) {
-          const std::size_t low = k & (stride - 1);
-          const std::size_t len = std::min(end - k, stride - low);
-          Complex* p0 = amps + (((k >> t) << (t + 2)) | low);
-          Complex* p1 = p0 + stride;
-          Complex* p2 = p1 + stride;
-          Complex* p3 = p2 + stride;
-          kt.butterfly_quad(p0, p1, p2, p3, len, c, s);
-          k += len;
+/// RX levels over the 2^levels rows of one tile: `len` amplitudes per
+/// row, rows `stride` apart.  Row level j pairs row r with row r + 2^j
+/// (bit j of r clear); it is qubit log2(stride) + j.  Levels ascend, two
+/// per sweep over the rows (butterfly_quad), the last alone when
+/// `levels` is odd (butterfly_pair).  Rows adjacent in memory (stride ==
+/// len) merge into one run per butterfly group.
+void mix_rows(Complex* rows, std::size_t len, std::size_t stride, int levels,
+              double c, double s, const simd::KernelTable& kt) {
+  const std::size_t count = std::size_t{1} << levels;
+  for (int j = 0; j < levels; j += 2) {
+    const bool quad = j + 1 < levels;
+    const std::size_t half = std::size_t{1} << j;  // rows between partners
+    const std::size_t group = (quad ? 4 : 2) * half;
+    const std::size_t gap = half * stride;
+    const std::size_t runs = stride == len ? 1 : half;
+    const std::size_t run = stride == len ? half * len : len;
+    for (std::size_t g = 0; g < count; g += group) {
+      for (std::size_t r = 0; r < runs; ++r) {
+        Complex* p0 = rows + (g + r) * stride;
+        if (quad) {
+          kt.butterfly_quad(p0, p0 + gap, p0 + 2 * gap, p0 + 3 * gap, run, c,
+                            s);
+        } else {
+          kt.butterfly_pair(p0, p0 + gap, run, c, s);
         }
-      },
-      threads);
+      }
+    }
+  }
 }
 
-/// Sweep-2 pass for a single leftover high level t.
-void mix_high_single(Complex* amps, std::size_t dim, int t, double c, double s,
-                     int threads, const simd::KernelTable& kt) {
-  const std::size_t stride = std::size_t{1} << t;
-  parallel_for_range(
-      dim / 2,
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t k = begin;
-        while (k < end) {
-          const std::size_t low = k & (stride - 1);
-          const std::size_t len = std::min(end - k, stride - low);
-          Complex* p0 = amps + detail::pair_base(k, t, stride);
-          Complex* p1 = p0 + stride;
-          kt.butterfly_pair(p0, p1, len, c, s);
-          k += len;
-        }
-      },
-      threads);
-}
-
-/// Shared layer skeleton: every sweep runs on the caller's kernel table.
-template <typename PhaseTile>
+/// The layer on an explicit tile geometry; `phase(lo, hi)` applies the
+/// diagonal phase to amplitudes [lo, hi).
+template <typename Phase>
 void apply_layer_impl(Complex* amps, int num_qubits, double beta, int threads,
-                      const simd::KernelTable& kt, PhaseTile&& phase_tile) {
-  const std::size_t dim = std::size_t{1} << num_qubits;
-  const int m = std::min(num_qubits, kBlockQubits);
+                      const simd::KernelTable& kt, int l1, int l2,
+                      LayerInput input, Phase&& phase) {
+  const TileShape shape = tile_shape(num_qubits, threads, l1, l2);
   const double c = std::cos(beta / 2.0);
   const double s = std::sin(beta / 2.0);
-  sweep_low(amps, dim, m, c, s, threads, kt, phase_tile);
-  int t = m;
-  for (; t + 1 < num_qubits; t += 2) {
-    mix_high_pair(amps, dim, t, c, s, threads, kt);
-  }
-  if (t < num_qubits) mix_high_single(amps, dim, t, c, s, threads, kt);
+  const std::size_t sub_size = std::size_t{1} << shape.sub;
+  const std::size_t tile_size = std::size_t{1} << shape.tile;
+  const bool uniform = input == LayerInput::kUniform;
+  // reset_uniform's value, written where the layer first touches it.
+  const Complex start{
+      1.0 / std::sqrt(static_cast<double>(std::size_t{1} << num_qubits)), 0.0};
+
+  // Pass A: phase + levels 0..sub-1 per sub-tile, then sub..tile-1.
+  parallel_for(
+      std::size_t{1} << (num_qubits - shape.tile),
+      [&](std::size_t t) {
+        Complex* tile = amps + t * tile_size;
+        for (std::size_t lo = t * tile_size; lo < (t + 1) * tile_size;
+             lo += sub_size) {
+          if (uniform) std::fill(amps + lo, amps + lo + sub_size, start);
+          phase(lo, lo + sub_size);
+          kt.mix_tile(amps + lo, shape.sub, c, s);
+        }
+        mix_rows(tile, sub_size, sub_size, shape.tile - shape.sub, c, s, kt);
+      },
+      threads);
+
+  // Pass B: levels tile..n-1 over column tiles of the 2^tile-wide rows.
+  const int high = num_qubits - shape.tile;
+  if (high == 0) return;
+  const std::size_t column = std::size_t{1} << shape.column;
+  parallel_for(
+      tile_size / column,
+      [&](std::size_t k) {
+        mix_rows(amps + k * column, column, tile_size, high, c, s, kt);
+      },
+      threads);
 }
 
 }  // namespace
 
 void apply_layer(Complex* amps, int num_qubits, const double* diag,
                  double gamma, double beta, int threads,
-                 const simd::KernelTable& kt) {
-  apply_layer_impl(amps, num_qubits, beta, threads, kt,
-                   [&](std::size_t lo, std::size_t hi) {
+                 const simd::KernelTable& kt, LayerInput input) {
+  apply_layer_impl(amps, num_qubits, beta, threads, kt, kBlockQubits,
+                   kL2Qubits, input, [&](std::size_t lo, std::size_t hi) {
                      kt.phase_general(amps + lo, diag + lo, gamma, hi - lo);
                    });
 }
 
 void apply_layer_integral(Complex* amps, int num_qubits, const int* diag,
                           const Complex* phases, double beta, int threads,
-                          const simd::KernelTable& kt) {
-  apply_layer_impl(amps, num_qubits, beta, threads, kt,
-                   [&](std::size_t lo, std::size_t hi) {
+                          const simd::KernelTable& kt, LayerInput input) {
+  detail::apply_layer_integral_tiled(amps, num_qubits, diag, phases, beta,
+                                     threads, kt, kBlockQubits, kL2Qubits,
+                                     input);
+}
+
+namespace detail {
+
+void apply_layer_integral_tiled(Complex* amps, int num_qubits,
+                                const int* diag, const Complex* phases,
+                                double beta, int threads,
+                                const simd::KernelTable& kt, int l1_qubits,
+                                int l2_qubits, LayerInput input) {
+  apply_layer_impl(amps, num_qubits, beta, threads, kt, l1_qubits, l2_qubits,
+                   input, [&](std::size_t lo, std::size_t hi) {
                      kt.phase_integral(amps + lo, diag + lo, phases, hi - lo);
                    });
 }
+
+}  // namespace detail
 
 }  // namespace qaoaml::quantum::fused

@@ -4,36 +4,55 @@
 // a diagonal phase followed by the mixer RX(beta) on every qubit.  The
 // gate-by-gate route costs n + 1 full passes over the 2^n amplitudes —
 // a memory-bound disaster once the state outgrows cache.  These kernels
-// restructure the layer into a handful of passes:
+// restructure the layer into at most two passes over the state, each a
+// parallel_for over tiles that fit in a core's L2 (the qubit-blocking
+// technique of qHiPSTER / Intel-QS, arXiv:1601.07195):
 //
-//  - Sweep 1 walks the array once in cache-resident tiles of
-//    2^kBlockQubits amplitudes, applying the diagonal phase and the
-//    butterfly levels of the kBlockQubits low ("local") qubits while the
-//    tile is hot in L1.  Inside a tile the vector tiers work on register
-//    rows (simd::KernelTable::mix_tile): the levels that fit in one
-//    register are applied in-register, and the rest go two at a time as
-//    radix-4 passes over four rows, so an 8-qubit layer is one phase
-//    pass plus three (AVX-512) or four (AVX2) mixer passes over a 4 KiB
-//    tile.  Folding the phase into the first mixer pass was measured
-//    and gave no gain at 8 qubits, so the phase stays its own pass.
-//  - Sweep 2 handles the remaining high qubits two levels per pass (a
-//    fused RX (x) RX four-way butterfly over quadruples of rows), with
-//    stride-1 inner loops over four contiguous streams so the compiler
-//    auto-vectorizes.
+//  - Pass A walks the state in contiguous tiles of 2^kL2Qubits
+//    amplitudes (1 MiB).  Each tile is processed as L1-resident
+//    sub-tiles of 2^kBlockQubits amplitudes (32 KiB): the diagonal phase
+//    and the butterfly levels 0..kBlockQubits-1 run while the sub-tile
+//    is hot.  Inside a sub-tile the vector tiers work on register rows
+//    (simd::KernelTable::mix_tile): the levels that fit in one register
+//    are applied in-register, and the rest go two at a time as radix-4
+//    passes over four rows, so an 8-qubit layer is one phase pass plus
+//    three (AVX-512) or four (AVX2) mixer passes over a 4 KiB tile.
+//    Folding the phase into the first mixer pass was measured and gave
+//    no gain at 8 qubits, so the phase stays its own pass.  Levels
+//    kBlockQubits..kL2Qubits-1 then run over the L2-resident tile, two
+//    per sweep (butterfly_quad), a leftover one alone (butterfly_pair).
+//  - Pass B applies the levels kL2Qubits..n-1.  Its tile is one column
+//    of the state seen as 2^(n-kL2Qubits) rows of 2^kL2Qubits
+//    amplitudes: the same 2^c-amplitude slice of every row, again about
+//    2^kL2Qubits amplitudes in all (slices stay at least 4 KiB long for
+//    the prefetcher, so above 24 qubits the tile outgrows 1 MiB).  A
+//    high level pairs whole rows, so the tile holds every partner; the
+//    levels run in place over it, in ascending pairs, with the same
+//    quad/pair kernels.
 //
-// For n <= kBlockQubits + 2 the whole layer is one or two passes; in
-// general it is 1 + ceil((n - kBlockQubits) / 2) instead of n + 1.
+// A layer applied to the uniform superposition (the first layer of a
+// state build) writes 2^(-n/2) into each sub-tile just before its phase,
+// so the state is not filled in a pass of its own.
 //
-// The contiguous inner loops of every sweep run through the runtime-
+// Passes over the state per layer: 1 for n <= kL2Qubits, 2 above —
+// instead of n + 1 gate passes.  Tile shapes follow n and the thread
+// count only (no setting chooses them): each pass keeps at least as many
+// tiles as threads where the state is big enough, so mid-size states
+// still spread over the pool.  For n <= kBlockQubits (the paper's n = 8)
+// a layer is one sub-tile: phase plus mix_tile, inline on the caller.
+//
+// The contiguous inner loops of every pass run through the runtime-
 // dispatched SIMD kernel table (quantum/simd_kernels.hpp): explicit
 // AVX2 / AVX-512 code where the CPU has it, the original scalar loops
 // otherwise.  The caller resolves the table (tier selection may read an
 // environment variable) and passes it in, so a p-layer state build
 // selects its tier once, not once per layer.
 //
-// Determinism: every kernel is element-wise independent (no reductions),
-// and all dispatch tiers are bit-identical by construction, so results
-// are bit-identical for every thread count, partition, and SIMD tier.
+// Determinism: every amplitude sees the phase and then RX levels
+// 0..n-1 in ascending order, each level the same rx_butterfly formula;
+// the schedule only reorders independent pairs.  All dispatch tiers are
+// bit-identical by construction, so results are bit-identical for every
+// thread count, tile shape and SIMD tier.
 #ifndef QAOAML_QUANTUM_FUSED_KERNELS_HPP
 #define QAOAML_QUANTUM_FUSED_KERNELS_HPP
 
@@ -42,24 +61,48 @@
 
 namespace qaoaml::quantum::fused {
 
-/// Low qubits handled inside one cache-resident tile by sweep 1:
-/// 2^11 amplitudes = 32 KiB, sized to a typical L1d.  Must stay at most
-/// kParallelGrainLog2 so parallel grain blocks contain whole tiles.
+/// Low qubits handled inside one L1-resident sub-tile: 2^11 amplitudes
+/// = 32 KiB, sized to a typical L1d.
 inline constexpr int kBlockQubits = 11;
+
+/// Qubits of one L2-resident tile: 2^16 amplitudes = 1 MiB.
+inline constexpr int kL2Qubits = 16;
+
+/// What a layer reads: the current amplitudes, or the uniform
+/// superposition 2^(-n/2), which its first pass writes tile by tile
+/// (the buffer's previous contents are never read).
+enum class LayerInput { kState, kUniform };
 
 /// Fused layer over a general diagonal: amps[z] *= exp(-i*gamma*diag[z]),
 /// then RX(beta) on every qubit.  `amps` and `diag` hold 2^num_qubits
-/// entries; the arrays must not alias.  Every sweep runs on `kernels`.
+/// entries; the arrays must not alias.  Every pass runs on `kernels`.
 void apply_layer(Complex* amps, int num_qubits, const double* diag,
                  double gamma, double beta, int threads,
-                 const simd::KernelTable& kernels);
+                 const simd::KernelTable& kernels,
+                 LayerInput input = LayerInput::kState);
 
 /// Fused layer over an integer diagonal with a precomputed phase table:
 /// amps[z] *= phases[diag[z]], then RX(beta) on every qubit.  Every
 /// diag[z] must be a valid index into `phases` (callers validate).
 void apply_layer_integral(Complex* amps, int num_qubits, const int* diag,
                           const Complex* phases, double beta, int threads,
-                          const simd::KernelTable& kernels);
+                          const simd::KernelTable& kernels,
+                          LayerInput input = LayerInput::kState);
+
+namespace detail {
+
+/// apply_layer_integral with the sub-tile and tile sizes given
+/// explicitly (2^l1_qubits and 2^l2_qubits amplitudes, 1 <= l1_qubits
+/// <= l2_qubits) instead of kBlockQubits and kL2Qubits.  Test-only: it
+/// lets small states exercise both passes and a leftover single level.
+void apply_layer_integral_tiled(Complex* amps, int num_qubits,
+                                const int* diag, const Complex* phases,
+                                double beta, int threads,
+                                const simd::KernelTable& kernels,
+                                int l1_qubits, int l2_qubits,
+                                LayerInput input);
+
+}  // namespace detail
 
 }  // namespace qaoaml::quantum::fused
 

@@ -1,7 +1,8 @@
 // Shared primitives of the amplitude kernels (statevector.cpp and
-// fused_kernels.cpp).  These are the subtle bits — the Annex-G-avoiding
+// simd_kernels.cpp).  These are the subtle bits — the Annex-G-avoiding
 // complex multiply and the bit-insertion pair indexing — kept in one
-// place so the fused and unfused paths cannot silently diverge.
+// place so the gate kernels and the layer kernels cannot silently
+// diverge.
 #ifndef QAOAML_QUANTUM_KERNEL_UTIL_HPP
 #define QAOAML_QUANTUM_KERNEL_UTIL_HPP
 

@@ -659,9 +659,12 @@ const KernelTable avx512_table = {
 }  // namespace
 
 const KernelTable& kernels(SimdTier tier) {
-  require(simd_tier_supported(tier),
-          std::string("simd::kernels: this CPU does not support ") +
-              to_string(tier));
+  // The message is built only on failure: state builds resolve the
+  // table once each, and a passing check must not allocate.
+  if (!simd_tier_supported(tier)) {
+    throw InvalidArgument(std::string("simd::kernels: this CPU does not support ") +
+                          to_string(tier));
+  }
 #if QAOAML_SIMD_X86
   switch (tier) {
     case SimdTier::kScalar:

@@ -1,6 +1,7 @@
 #include "quantum/statevector.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -265,13 +266,31 @@ void Statevector::apply_qaoa_layer(const std::vector<double>& diag,
   apply_qaoa_layer(diag, gamma, beta, simd::active_kernels());
 }
 
+/// A layer's diagonal must match the state; a uniform-input layer
+/// instead gives the state the diagonal's dimension (nothing is kept).
+void Statevector::size_for_layer(std::size_t diag_size, bool uniform_input) {
+  if (!uniform_input) {
+    require(diag_size == amps_.size(),
+            "Statevector: diagonal length must equal dimension");
+    return;
+  }
+  require(std::has_single_bit(diag_size),
+          "Statevector: diagonal length must be a power of two");
+  const int qubits = std::countr_zero(diag_size);
+  require_qubit_count(qubits);
+  num_qubits_ = qubits;
+  if (amps_.size() != diag_size) amps_.resize(diag_size);
+}
+
 void Statevector::apply_qaoa_layer(const std::vector<double>& diag,
                                    double gamma, double beta,
-                                   const simd::KernelTable& kernels) {
-  require(diag.size() == amps_.size(),
-          "Statevector: diagonal length must equal dimension");
+                                   const simd::KernelTable& kernels,
+                                   bool uniform_input) {
+  size_for_layer(diag.size(), uniform_input);
   fused::apply_layer(amps_.data(), num_qubits_, diag.data(), gamma, beta,
-                     kernel_threads(amps_.size()), kernels);
+                     kernel_threads(amps_.size()), kernels,
+                     uniform_input ? fused::LayerInput::kUniform
+                                   : fused::LayerInput::kState);
 }
 
 void Statevector::apply_qaoa_layer_integral(const std::vector<int>& diag,
@@ -284,11 +303,15 @@ void Statevector::apply_qaoa_layer_integral(const std::vector<int>& diag,
 
 void Statevector::apply_qaoa_layer_integral(
     const std::vector<int>& diag, double gamma, int max_value, double beta,
-    bool entries_prevalidated, const simd::KernelTable& kernels) {
+    bool entries_prevalidated, const simd::KernelTable& kernels,
+    bool uniform_input) {
+  size_for_layer(diag.size(), uniform_input);
   check_integral_diagonal(diag, max_value, !entries_prevalidated);
   fused::apply_layer_integral(amps_.data(), num_qubits_, diag.data(),
                               integral_phase_table(gamma, max_value), beta,
-                              kernel_threads(amps_.size()), kernels);
+                              kernel_threads(amps_.size()), kernels,
+                              uniform_input ? fused::LayerInput::kUniform
+                                            : fused::LayerInput::kState);
 }
 
 void Statevector::apply_hadamard_all() {

@@ -66,8 +66,8 @@ class Statevector {
   static Statevector uniform(int num_qubits);
 
   /// Reinitializes this state to uniform(num_qubits) in place, reusing
-  /// the amplitude buffer when the dimension already matches.  This is
-  /// the allocation-free reset used by the batch-evaluation engine.
+  /// the amplitude buffer when the dimension already matches.  (QAOA
+  /// state builds skip it: their first layer takes uniform_input.)
   void reset_uniform(int num_qubits);
 
   int num_qubits() const { return num_qubits_; }
@@ -125,12 +125,21 @@ class Statevector {
   /// The two layers above on a kernel table the caller resolved once
   /// (simd::active_kernels() may read QAOAML_SIMD), for loops that
   /// apply many layers.  Same bits as the overloads above on that tier.
+  ///
+  /// With `uniform_input` the layer starts a state build: the state
+  /// first takes the diagonal's dimension (reusing the buffer when it
+  /// matches) and the layer's input is the uniform superposition, which
+  /// its first pass writes tile by tile — the same bits as
+  /// reset_uniform() followed by the layer, one pass over the state
+  /// fewer.  The previous amplitudes are never read.
   void apply_qaoa_layer(const std::vector<double>& diag, double gamma,
-                        double beta, const simd::KernelTable& kernels);
+                        double beta, const simd::KernelTable& kernels,
+                        bool uniform_input = false);
   void apply_qaoa_layer_integral(const std::vector<int>& diag, double gamma,
                                  int max_value, double beta,
                                  bool entries_prevalidated,
-                                 const simd::KernelTable& kernels);
+                                 const simd::KernelTable& kernels,
+                                 bool uniform_input = false);
 
   /// Hadamard on every qubit (the QAOA state preparation layer).
   void apply_hadamard_all();
@@ -181,6 +190,7 @@ class Statevector {
  private:
   Statevector() = default;
   void check_qubit(int q) const;
+  void size_for_layer(std::size_t diag_size, bool uniform_input);
   void check_integral_diagonal(const std::vector<int>& diag, int max_value,
                                bool scan_entries) const;
 

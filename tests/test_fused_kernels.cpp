@@ -20,6 +20,7 @@
 #include "core/angles.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
+#include "quantum/simd_kernels.hpp"
 #include "quantum/statevector.hpp"
 #include "support/qaoa_reference.hpp"
 
@@ -215,6 +216,52 @@ TEST(FusedQaoa, AmplitudesBitIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(mismatches, 0u) << "threads=" << threads;
   }
+}
+
+TEST(FusedLayer, UniformInputMatchesResetThenLayer) {
+  // The first layer of a state build writes the uniform start itself and
+  // takes its size from the diagonal: a workspace of another size (and
+  // any contents) must give reset_uniform + layer's bits.
+  Rng rng(0x0F1D);
+  const quantum::simd::KernelTable& kernels = quantum::simd::active_kernels();
+  for (const int n : {1, 5, 11, 13, 16}) {
+    const std::size_t dim = std::size_t{1} << n;
+    std::vector<double> diag(dim);
+    std::vector<int> int_diag(dim);
+    for (std::size_t z = 0; z < dim; ++z) {
+      diag[z] = rng.uniform(-2.0, 2.0);
+      int_diag[z] = static_cast<int>(rng.uniform_int(7));
+    }
+    const double gamma = rng.uniform(-M_PI, M_PI);
+    const double beta = rng.uniform(-M_PI, M_PI);
+    for (const int threads : {1, 3}) {
+      const ScopedThreadCount scoped(threads);
+      Statevector expected = Statevector::uniform(n);
+      expected.apply_qaoa_layer(diag, gamma, beta, kernels);
+      Statevector actual = random_state(n == 1 ? 2 : n - 1, rng);
+      actual.apply_qaoa_layer(diag, gamma, beta, kernels,
+                              /*uniform_input=*/true);
+      ASSERT_EQ(actual.num_qubits(), n);
+      EXPECT_TRUE(actual.amplitudes() == expected.amplitudes())
+          << "general n=" << n << " threads=" << threads;
+
+      Statevector expected_int = Statevector::uniform(n);
+      expected_int.apply_qaoa_layer_integral(int_diag, gamma, 6, beta, false,
+                                             kernels);
+      Statevector actual_int = random_state(n, rng);
+      actual_int.apply_qaoa_layer_integral(int_diag, gamma, 6, beta, false,
+                                           kernels, /*uniform_input=*/true);
+      EXPECT_TRUE(actual_int.amplitudes() == expected_int.amplitudes())
+          << "integral n=" << n << " threads=" << threads;
+    }
+  }
+  Statevector sv = Statevector::uniform(3);
+  EXPECT_THROW(sv.apply_qaoa_layer(std::vector<double>(12, 0.0), 0.3, 0.4,
+                                   kernels, /*uniform_input=*/true),
+               InvalidArgument);
+  EXPECT_THROW(sv.apply_qaoa_layer(std::vector<double>(1, 0.0), 0.3, 0.4,
+                                   kernels, /*uniform_input=*/true),
+               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------

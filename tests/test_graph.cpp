@@ -1,13 +1,17 @@
 // Tests for the graph substrate: structure, generators, MaxCut.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/maxcut.hpp"
+#include "support/diagonal_reference.hpp"
 
 namespace qaoaml::graph {
 namespace {
@@ -202,6 +206,31 @@ TEST(MaxCut, TableMaxEqualsBruteForce) {
     const std::vector<double> table = cut_value_table(g);
     const double table_max = *std::max_element(table.begin(), table.end());
     EXPECT_DOUBLE_EQ(table_max, max_cut_brute_force(g).value);
+  }
+}
+
+TEST(MaxCut, TableBitIdenticalToEdgeByEdgeOracle) {
+  // Fractional and negative weights, sizes from one chunk to many
+  // parallel blocks, and thread counts that do not divide the blocks.
+  Rng rng(11);
+  for (const int n : {1, 2, 5, 12, 13, 16}) {
+    Graph g = erdos_renyi_gnp(n, 0.5, rng);
+    if (n >= 2) g = with_random_weights(g, -1.75, 2.5, rng);
+    if (n >= 5 && !g.has_edge(0, 4)) g.add_edge(0, 4, -0.0);
+    const std::vector<double> expected = oracle::cut_value_table_edge_by_edge(g);
+    for (const int threads : {1, 3, 8}) {
+      const ScopedThreadCount scoped(threads);
+      const std::vector<double> table = cut_value_table(g);
+      ASSERT_EQ(table.size(), expected.size());
+      std::size_t mismatches = 0;
+      for (std::size_t z = 0; z < table.size(); ++z) {
+        if (std::bit_cast<std::uint64_t>(table[z]) !=
+            std::bit_cast<std::uint64_t>(expected[z])) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " threads=" << threads;
+    }
   }
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/angles.hpp"
 #include "core/ising_qaoa.hpp"
@@ -13,6 +16,7 @@
 #include "graph/maxcut.hpp"
 #include "ising/diagonal_hamiltonian.hpp"
 #include "ising/ising_model.hpp"
+#include "support/diagonal_reference.hpp"
 #include "support/qaoa_reference.hpp"
 
 namespace qaoaml::ising {
@@ -112,6 +116,38 @@ TEST(DiagonalHamiltonian, FromIsingMatchesModelDiagonal) {
   }
 }
 
+TEST(IsingModel, DiagonalBitIdenticalToTermByTermOracle) {
+  // Fractional fields (some exactly zero, so skipped), repeated and
+  // negative couplings, sizes from one chunk to many parallel blocks.
+  Rng rng(12);
+  for (const int n : {1, 3, 12, 13, 16}) {
+    IsingModel m(n);
+    m.set_constant(rng.uniform(-3.0, 3.0));
+    for (int i = 0; i < n; ++i) {
+      if (rng.uniform() < 0.7) m.set_field(i, rng.uniform(-1.5, 1.5));
+    }
+    for (int k = 0; n >= 2 && k < 3 * n; ++k) {
+      const int i = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(n)));
+      const int j = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(n)));
+      if (i != j) m.add_coupling(i, j, rng.uniform(-2.0, 2.0));
+    }
+    const std::vector<double> expected = oracle::ising_diagonal_term_by_term(m);
+    for (const int threads : {1, 3, 8}) {
+      const ScopedThreadCount scoped(threads);
+      const std::vector<double> diag = m.diagonal();
+      ASSERT_EQ(diag.size(), expected.size());
+      std::size_t mismatches = 0;
+      for (std::size_t z = 0; z < diag.size(); ++z) {
+        if (std::bit_cast<std::uint64_t>(diag[z]) !=
+            std::bit_cast<std::uint64_t>(expected[z])) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " threads=" << threads;
+    }
+  }
+}
+
 TEST(DiagonalHamiltonian, ArgmaxAchievesMaxValue) {
   Rng rng(11);
   const graph::Graph g = graph::erdos_renyi_gnp(6, 0.5, rng);
@@ -184,6 +220,39 @@ TEST(IsingQaoa, ZeroAnglesGiveUniformAverage) {
   // Uniform state: <Z> = 0 for every spin, so only the constant remains.
   const std::vector<double> zeros(2, 0.0);
   EXPECT_NEAR(instance.expectation(zeros), model.constant(), 1e-10);
+}
+
+TEST(IsingQaoa, ObjectiveReusesWorkspacesWithTheSameBitsAcrossThreads) {
+  Rng rng(19);
+  ising::IsingModel model(9);
+  model.set_constant(0.5);
+  for (int i = 0; i < 9; ++i) model.set_field(i, rng.normal(0.0, 0.4));
+  for (int i = 0; i + 1 < 9; ++i) model.add_coupling(i, i + 1, rng.uniform(-1.0, 1.0));
+  const core::IsingQaoa instance(model, 2);
+  std::vector<std::vector<double>> points;
+  std::vector<double> expected;
+  for (int k = 0; k < 16; ++k) {
+    points.push_back(core::random_angles(2, rng));
+    expected.push_back(-instance.expectation(points.back()));
+  }
+  // One callable shared by concurrent callers, as multistart does.
+  const optim::ObjectiveFn objective = instance.objective();
+  const ScopedThreadCount threads(4);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<double> values(points.size());
+    parallel_for(points.size(),
+                 [&](std::size_t k) { values[k] = objective(points[k]); });
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(values[k]),
+                std::bit_cast<std::uint64_t>(expected[k]))
+          << "round " << round << " point " << k;
+    }
+  }
+  quantum::Statevector workspace(3);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                -instance.expectation_using(workspace, points[0])),
+            std::bit_cast<std::uint64_t>(expected[0]));
+  EXPECT_EQ(workspace.num_qubits(), 9);
 }
 
 TEST(IsingQaoa, AnsatzSkipsZeroFields) {

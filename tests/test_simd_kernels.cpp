@@ -37,6 +37,7 @@
 #include "ising/ising_model.hpp"
 #include "quantum/aligned.hpp"
 #include "quantum/dispatch.hpp"
+#include "quantum/fused_kernels.hpp"
 #include "quantum/simd_kernels.hpp"
 #include "quantum/statevector.hpp"
 #include "support/qaoa_reference.hpp"
@@ -344,6 +345,81 @@ TEST(SimdKernels, MixTileBitIdenticalToScalarForEveryTileSize) {
       const std::vector<Complex> actual(tile, tile + input.size());
       EXPECT_EQ(count_amp_mismatches(actual, expected), 0u)
           << quantum::to_string(tier) << " misaligned m=" << m;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Layer schedule: the fused layer on explicit, shrunken tile sizes, so
+// that small states run both passes, leftover single levels in each and
+// thread counts that do not divide the tile counts.  The oracle applies
+// the levels one by one: scalar phase_integral over the whole state,
+// then scalar mix_tile over all n levels.
+// ---------------------------------------------------------------------
+
+TEST(FusedTiles, LayerBitIdenticalToLevelOracleForEveryShape) {
+  namespace fused = quantum::fused;
+  const KernelTable& scalar = quantum::simd::kernels(SimdTier::kScalar);
+  // Shrunken shapes stop early: well past their tile size, pass B's rows
+  // shrink to one amplitude each and the run gets long.
+  struct Tiles {
+    int l1;
+    int l2;
+    int max_n;
+  };
+  const std::vector<Tiles> shapes = {
+      {fused::kBlockQubits, fused::kL2Qubits, 20}, {2, 5, 14}, {3, 6, 14},
+      {4, 9, 17}};
+  Rng rng(0x711E);
+  for (int n = 1; n <= 20; ++n) {
+    const std::size_t dim = std::size_t{1} << n;
+    const int max_value = n + 3;
+    std::vector<int> diag(dim);
+    for (int& d : diag) {
+      d = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(max_value) + 1));
+    }
+    const double gamma = rng.uniform(-M_PI, M_PI);
+    std::vector<Complex> phases(static_cast<std::size_t>(max_value) + 1);
+    for (std::size_t k = 0; k < phases.size(); ++k) {
+      const double phi = -gamma * static_cast<double>(k);
+      phases[k] = Complex{std::cos(phi), std::sin(phi)};
+    }
+    const double beta = rng.uniform(-M_PI, M_PI);
+    const double c = std::cos(beta / 2.0);
+    const double s = std::sin(beta / 2.0);
+    auto level_by_level = [&](std::vector<Complex> amps) {
+      scalar.phase_integral(amps.data(), diag.data(), phases.data(), dim);
+      scalar.mix_tile(amps.data(), n, c, s);
+      return amps;
+    };
+    const std::vector<Complex> input = random_amps(dim, rng);
+    const std::vector<Complex> expected = level_by_level(input);
+    const std::vector<Complex> expected_uniform = level_by_level(
+        std::vector<Complex>(dim, Complex{1.0 / std::sqrt(static_cast<double>(dim)), 0.0}));
+    for (SimdTier tier : supported_tiers()) {
+      const KernelTable& kt = quantum::simd::kernels(tier);
+      for (const Tiles& tiles : shapes) {
+        if (n > tiles.max_n) continue;
+        for (const int threads : {1, 2, 3, 8}) {
+          std::vector<Complex> actual = input;
+          fused::detail::apply_layer_integral_tiled(
+              actual.data(), n, diag.data(), phases.data(), beta, threads, kt,
+              tiles.l1, tiles.l2, fused::LayerInput::kState);
+          EXPECT_EQ(count_amp_mismatches(actual, expected), 0u)
+              << quantum::to_string(tier) << " n=" << n << " l1=" << tiles.l1
+              << " l2=" << tiles.l2 << " threads=" << threads;
+          // A uniform-input layer never reads the buffer: NaNs left in it
+          // must not reach the result.
+          std::vector<Complex> started(dim, Complex{std::nan(""), std::nan("")});
+          fused::detail::apply_layer_integral_tiled(
+              started.data(), n, diag.data(), phases.data(), beta, threads, kt,
+              tiles.l1, tiles.l2, fused::LayerInput::kUniform);
+          EXPECT_EQ(count_amp_mismatches(started, expected_uniform), 0u)
+              << quantum::to_string(tier) << " uniform n=" << n
+              << " l1=" << tiles.l1 << " l2=" << tiles.l2
+              << " threads=" << threads;
+        }
+      }
     }
   }
 }
