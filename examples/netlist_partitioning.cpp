@@ -8,19 +8,22 @@
 // model
 //     E(s) = const + sum_{(u,v)} (w_uv / 2) s_u s_v
 //                  - 2 lambda sum_{i<j} s_i s_j .
-// This uses the library's general IsingQaoa (couplings on *all* pairs:
-// wire terms on nets, balance terms everywhere) plus the standard
-// hybrid post-processing step: sample the optimized state and greedily
-// refine the best sample with pairwise swaps.
+// This runs the library's DiagonalQaoa over the model's diagonal
+// (couplings on *all* pairs: wire terms on nets, balance terms
+// everywhere) plus the standard hybrid post-processing step: sample the
+// optimized state and greedily refine the best sample with pairwise
+// swaps.
 //
 //   build/examples/netlist_partitioning
 #include <algorithm>
 #include <cstdio>
 
 #include "core/angles.hpp"
-#include "core/ising_qaoa.hpp"
+#include "core/qaoa_objective.hpp"
 #include "graph/graph.hpp"
 #include "graph/maxcut.hpp"
+#include "ising/diagonal_hamiltonian.hpp"
+#include "ising/ising_model.hpp"
 #include "optim/multistart.hpp"
 
 using namespace qaoaml;
@@ -99,7 +102,8 @@ int main() {
     }
   }
 
-  const core::IsingQaoa instance(model, 3);
+  const core::DiagonalQaoa instance(
+      ising::DiagonalHamiltonian::from_ising(model), 3);
   std::printf("Ising model: %d spins, %zu pair couplings\n",
               model.num_spins(), model.couplings().size());
 

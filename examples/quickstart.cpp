@@ -32,7 +32,7 @@ int main() {
       instance, optim::OptimizerKind::kLbfgsb, 10, rng);
   std::printf("optimized <C> = %.4f of max cut %.0f  (AR = %.4f, "
               "%d total QC calls)\n",
-              runs.best.expectation, instance.max_cut_value(),
+              runs.best.expectation, instance.max_value(),
               runs.best.approximation_ratio, runs.total_function_calls);
 
   // 4. Read out a solution: the most likely bitstring of the final state.

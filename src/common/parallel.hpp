@@ -81,6 +81,23 @@ void parallel_for(std::size_t count, Body&& body,
                           static_cast<std::size_t>(threads), count)));
 }
 
+/// Splits [0, count) into `chunks` contiguous ranges (clamped to
+/// [1, count]; the first count % chunks ranges carry one extra entry)
+/// and runs body(begin, end) for each in parallel.  A caller that keeps
+/// per-chunk state — one workspace per chunk — makes O(chunks) of it
+/// instead of O(count).  One chunk runs inline on the calling thread.
+template <typename Body>
+void parallel_for_chunks(std::size_t count, std::size_t chunks, Body&& body) {
+  if (count == 0) return;
+  chunks = std::clamp<std::size_t>(chunks, 1, count);
+  const std::size_t base = count / chunks;
+  const std::size_t extra = count % chunks;
+  parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t begin = c * base + std::min(c, extra);
+    body(begin, begin + base + (c < extra ? 1 : 0));
+  });
+}
+
 /// Runs body(begin, end) over a blocked partition of [0, count): blocks
 /// are kParallelGrain elements (the last one ragged).  Small ranges that
 /// fit in one block run inline on the calling thread.

@@ -4,8 +4,8 @@
 // value costs O(p * 2^n) amplitude sweeps, and the sweeps, benches and
 // data-generation runs evaluate thousands of (instance, angles) pairs.
 // BatchEvaluator amortizes that work:
-//  - the DiagonalHamiltonian (and its integral fast-path table) is
-//    precomputed once per instance by MaxCutQaoa and shared by every
+//  - the diagonal cost (and, for MaxCut, its power table) is
+//    precomputed once per DiagonalQaoa instance and shared by every
 //    evaluation;
 //  - statevector workspaces are reused across evaluations (one per
 //    worker chunk), so a batch makes O(threads) 2^n allocations instead
@@ -19,7 +19,7 @@
 //    entries run sequentially on the calling thread and each
 //    evaluation's amplitude kernels fan out over the whole pool, so ONE
 //    large-n objective evaluation saturates the machine;
-//  - every evaluation runs through MaxCutQaoa::state_into, the fused
+//  - every evaluation runs through DiagonalQaoa::state_into, the fused
 //    layer path: each QAOA layer is one or two blocked passes over the
 //    state instead of n + 1 gate passes (quantum/fused_kernels.hpp).
 //
@@ -28,10 +28,10 @@
 //    the batch, and the underlying reductions are thread-count
 //    independent, so QAOAML_THREADS=1 and =8 produce identical bits.
 //  - **Thread-safety.**  The batch entry points (expectations /
-//    objectives) parallelize internally and may be called from one
-//    thread at a time; the single-shot expectation()/objective() reuse
-//    the member workspace and are NOT thread-safe — use one
-//    BatchEvaluator per thread.  The referenced MaxCutQaoa is only
+//    evaluations) parallelize internally and may be called from one
+//    thread at a time; the single-shot expectation()/evaluate() reuse
+//    the member workspaces and are NOT thread-safe — use one
+//    BatchEvaluator per thread.  The referenced instances are only
 //    read.
 //  - **Angle units.**  `params` follows core/angles.hpp: 2p radians
 //    packed as [gamma_1..gamma_p, beta_1..beta_p].
@@ -52,26 +52,23 @@ namespace qaoaml::core {
 /// pure function of the job — batch order, chunking and thread count
 /// can never change a bit.
 struct BatchJob {
-  const MaxCutQaoa* instance = nullptr;
+  const DiagonalQaoa* instance = nullptr;
   std::vector<double> params;
   EvalSpec eval{};
 };
 
 /// Evaluates the QAOA cost expectation for batches of angle vectors on
 /// one problem instance (or heterogeneous instance batches via the
-/// static overload).  The referenced MaxCutQaoa must outlive this.
+/// static evaluations()).  The referenced instance must outlive this.
 class BatchEvaluator {
  public:
-  explicit BatchEvaluator(const MaxCutQaoa& instance);
+  explicit BatchEvaluator(const DiagonalQaoa& instance);
 
-  const MaxCutQaoa& instance() const { return *instance_; }
+  const DiagonalQaoa& instance() const { return *instance_; }
 
   /// <C> for one angle vector, reusing the internal workspace (no
   /// allocation).  Not thread-safe: one BatchEvaluator per thread.
   double expectation(std::span<const double> params);
-
-  /// -<C>: the minimization objective the optimizers consume.
-  double objective(std::span<const double> params);
 
   /// <C> under `spec`, reusing the internal statevector and CDF
   /// workspaces (no allocation after the first sampled call).  Sampled
@@ -83,20 +80,11 @@ class BatchEvaluator {
   std::vector<double> expectations(
       std::span<const std::vector<double>> batch) const;
 
-  /// -<C> for every angle vector in the batch.
-  std::vector<double> objectives(
-      std::span<const std::vector<double>> batch) const;
-
-  /// <C> for every (instance, angles) job; instances may differ in size
-  /// and depth.  Each worker chunk reuses one workspace, growing it only
-  /// when the qubit count changes.  Ignores the jobs' eval specs
-  /// (always exact) — the pre-EvalSpec entry point, kept for callers
-  /// that never sample.
-  static std::vector<double> expectations(std::span<const BatchJob> jobs);
-
-  /// <C> for every job *under its own EvalSpec*: exact jobs evaluate
-  /// like expectations(); sampled jobs draw from a private
-  /// Rng(job.eval.seed) with the job's own shot budget.  Per-item
+  /// <C> for every (instance, angles) job *under its own EvalSpec*;
+  /// instances may differ in size and depth.  Exact jobs evaluate like
+  /// expectation(); sampled jobs draw from a private Rng(job.eval.seed)
+  /// with the job's own shot budget.  Each worker chunk reuses one
+  /// workspace, growing it only when the qubit count changes.  Per-item
   /// determinism: entry i is a pure function of job i, verified
   /// bit-identical across thread counts and against the sequential
   /// evaluate() path.
@@ -114,7 +102,7 @@ class BatchEvaluator {
                                 int threads);
 
  private:
-  const MaxCutQaoa* instance_;
+  const DiagonalQaoa* instance_;
   quantum::Statevector workspace_;
   std::vector<double> cdf_workspace_;
 };

@@ -39,11 +39,16 @@ SeedPolicy seed_policy_from_string(const std::string& text) {
 
 void validate(const EvalSpec& spec) {
   if (!spec.sampled()) return;
-  require(spec.shots >= 1, "EvalSpec: sampled mode needs shots >= 1, got " +
-                               std::to_string(spec.shots));
-  require(spec.averaging >= 1,
-          "EvalSpec: sampled mode needs averaging >= 1, got " +
-              std::to_string(spec.averaging));
+  // Sampled objectives validate on every call, so the messages are
+  // built only when a check fails.
+  if (spec.shots < 1) {
+    throw InvalidArgument("EvalSpec: sampled mode needs shots >= 1, got " +
+                          std::to_string(spec.shots));
+  }
+  if (spec.averaging < 1) {
+    throw InvalidArgument("EvalSpec: sampled mode needs averaging >= 1, got " +
+                          std::to_string(spec.averaging));
+  }
 }
 
 std::string to_string(const EvalSpec& spec) {

@@ -4,7 +4,7 @@
 // estimates.  EvalSpec is the one value type that says *how* an
 // objective value is produced — exact expectation or a seeded
 // finite-shot estimate — and it threads through every layer that used
-// to hardwire exactness: MaxCutQaoa, BatchEvaluator, the solvers, the
+// to hardwire exactness: DiagonalQaoa, BatchEvaluator, the solvers, the
 // two-level flow, the Table-I / transfer / corpus pipelines, and the
 // qaoad wire protocol.
 //

@@ -1,10 +1,14 @@
 #include "core/qaoa_objective.hpp"
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "core/angles.hpp"
 #include "quantum/simd_kernels.hpp"
 
@@ -25,48 +29,73 @@ const graph::Graph& validated(const graph::Graph& g, int depth) {
 
 }  // namespace
 
-MaxCutQaoa::MaxCutQaoa(graph::Graph g, int depth)
-    : graph_(std::move(g)),
-      depth_(depth),
-      hamiltonian_(
-          ising::DiagonalHamiltonian::maxcut(validated(graph_, depth))) {
-  max_cut_ = hamiltonian_.max_value();
+DiagonalQaoa::DiagonalQaoa(ising::DiagonalHamiltonian hamiltonian, int depth)
+    : DiagonalQaoa(std::move(hamiltonian), depth, /*power_table=*/false) {}
 
-  // Detect an integral cut spectrum (always true for unit weights).
-  integral_ = true;
+DiagonalQaoa::DiagonalQaoa(ising::DiagonalHamiltonian hamiltonian, int depth,
+                           bool power_table)
+    : hamiltonian_(std::move(hamiltonian)), depth_(depth) {
+  require(depth >= 1, "DiagonalQaoa: depth must be >= 1");
+
+  // One blocked sweep finds the maximum and, for the power table, writes
+  // the integer copy.  A block stops writing at its first non-integral
+  // entry, and any such block turns the table off.  Each block keeps its
+  // first maximal entry and the blocks reduce in order, so max_value_ is
+  // the entry std::max_element would return.
+  struct Partial {
+    double max;
+    int max_int;
+    bool integral;
+  };
   const std::vector<double>& diag = hamiltonian_.diagonal();
-  int_diagonal_.resize(diag.size());
-  for (std::size_t z = 0; z < diag.size(); ++z) {
-    const double rounded = std::round(diag[z]);
-    if (std::abs(diag[z] - rounded) > 1e-9 || rounded < 0.0 ||
-        rounded > 1e6) {
-      integral_ = false;
-      break;
+  std::vector<Partial> partials(
+      (diag.size() + kParallelGrain - 1) / kParallelGrain,
+      Partial{-std::numeric_limits<double>::infinity(), 0, power_table});
+  if (power_table) int_diagonal_.resize(diag.size());
+  parallel_for_range(diag.size(), [&](std::size_t begin, std::size_t end) {
+    Partial& part = partials[begin / kParallelGrain];
+    for (std::size_t z = begin; z < end; ++z) {
+      if (diag[z] > part.max) part.max = diag[z];
+      if (!part.integral) continue;
+      const double rounded = std::round(diag[z]);
+      if (std::abs(diag[z] - rounded) > 1e-9 || rounded < 0.0 ||
+          rounded > 1e6) {
+        part.integral = false;
+        continue;
+      }
+      int_diagonal_[z] = static_cast<int>(rounded);
+      part.max_int = std::max(part.max_int, int_diagonal_[z]);
     }
-    int_diagonal_[z] = static_cast<int>(rounded);
-    max_int_value_ = std::max(max_int_value_, int_diagonal_[z]);
+  });
+  bool integral = true;
+  max_value_ = partials.front().max;
+  for (const Partial& part : partials) {
+    if (part.max > max_value_) max_value_ = part.max;
+    max_int_value_ = std::max(max_int_value_, part.max_int);
+    integral = integral && part.integral;
   }
-  if (!integral_) int_diagonal_.clear();
+  if (!integral) std::vector<int>().swap(int_diagonal_);
 }
 
-std::size_t MaxCutQaoa::num_parameters() const { return num_angles(depth_); }
+std::size_t DiagonalQaoa::num_parameters() const { return num_angles(depth_); }
 
-optim::Bounds MaxCutQaoa::bounds() const { return qaoa_bounds(depth_); }
+optim::Bounds DiagonalQaoa::bounds() const { return qaoa_bounds(depth_); }
 
-quantum::Statevector MaxCutQaoa::state(std::span<const double> params) const {
+quantum::Statevector DiagonalQaoa::state(
+    std::span<const double> params) const {
   // Validate before allocating the 2^n workspace (up to 1 GiB at the
   // 26-qubit cap), and with this function's own name in the message.
   require(params.size() == num_parameters(),
-          "MaxCutQaoa::state: wrong parameter count");
-  quantum::Statevector sv = quantum::Statevector::uniform(graph_.num_nodes());
+          "DiagonalQaoa::state: wrong parameter count");
+  quantum::Statevector sv(num_qubits());
   state_into(sv, params);
   return sv;
 }
 
-void MaxCutQaoa::state_into(quantum::Statevector& sv,
-                            std::span<const double> params) const {
+void DiagonalQaoa::state_into(quantum::Statevector& sv,
+                              std::span<const double> params) const {
   require(params.size() == num_parameters(),
-          "MaxCutQaoa::state_into: wrong parameter count");
+          "DiagonalQaoa::state_into: wrong parameter count");
 
   // One tier lookup per state build, not per layer.
   const quantum::simd::KernelTable& kernels = quantum::simd::active_kernels();
@@ -76,8 +105,8 @@ void MaxCutQaoa::state_into(quantum::Statevector& sv,
     // The first layer writes the uniform start itself (no reset pass).
     const bool first = stage == 0;
     // int_diagonal_ entries are in [0, max_int_value_] by construction,
-    // so the integral layer skips the per-call entry-range scan.
-    if (integral_) {
+    // so the power-table layer skips the per-call entry-range scan.
+    if (has_integer_spectrum()) {
       sv.apply_qaoa_layer_integral(int_diagonal_, gamma, max_int_value_, beta,
                                    /*entries_prevalidated=*/true, kernels,
                                    first);
@@ -88,45 +117,28 @@ void MaxCutQaoa::state_into(quantum::Statevector& sv,
   }
 }
 
-double MaxCutQaoa::expectation(std::span<const double> params) const {
+double DiagonalQaoa::expectation(std::span<const double> params) const {
   return state(params).expectation_diagonal(hamiltonian_.diagonal());
 }
 
-double MaxCutQaoa::expectation_using(quantum::Statevector& workspace,
-                                     std::span<const double> params) const {
+double DiagonalQaoa::expectation_using(quantum::Statevector& workspace,
+                                       std::span<const double> params) const {
   state_into(workspace, params);
   return workspace.expectation_diagonal(hamiltonian_.diagonal());
 }
 
-double MaxCutQaoa::sampled_expectation(std::span<const double> params,
-                                       int shots, Rng& rng) const {
-  quantum::Statevector workspace =
-      quantum::Statevector::uniform(num_qubits());
+double DiagonalQaoa::sampled_expectation(std::span<const double> params,
+                                         int shots, Rng& rng) const {
+  quantum::Statevector workspace(num_qubits());
   std::vector<double> cdf;
-  return sampled_expectation_using(workspace, cdf, params, shots, rng);
+  return evaluate_using(workspace, cdf, params,
+                        EvalSpec::sampled_with(shots, 0), rng);
 }
 
-double MaxCutQaoa::sampled_expectation_using(quantum::Statevector& workspace,
-                                             std::vector<double>& cdf,
-                                             std::span<const double> params,
-                                             int shots, Rng& rng) const {
-  require(shots >= 1,
-          "MaxCutQaoa::sampled_expectation: shots must be >= 1, got " +
-              std::to_string(shots));
-  state_into(workspace, params);
-  workspace.cumulative_probabilities(cdf);
-  const std::vector<double>& diag = hamiltonian_.diagonal();
-  double acc = 0.0;
-  for (int s = 0; s < shots; ++s) {
-    acc += diag[quantum::Statevector::sample_cdf(cdf, rng.uniform())];
-  }
-  return acc / static_cast<double>(shots);
-}
-
-double MaxCutQaoa::evaluate_using(quantum::Statevector& workspace,
-                                  std::vector<double>& cdf,
-                                  std::span<const double> params,
-                                  const EvalSpec& spec, Rng& rng) const {
+double DiagonalQaoa::evaluate_using(quantum::Statevector& workspace,
+                                    std::vector<double>& cdf,
+                                    std::span<const double> params,
+                                    const EvalSpec& spec, Rng& rng) const {
   if (!spec.sampled()) return expectation_using(workspace, params);
   validate(spec);
   // One state preparation + one CDF serve every averaging repeat; the
@@ -143,40 +155,65 @@ double MaxCutQaoa::evaluate_using(quantum::Statevector& workspace,
   return acc / static_cast<double>(total);
 }
 
-double MaxCutQaoa::approximation_ratio(std::span<const double> params) const {
-  return expectation(params) / max_cut_;
+double DiagonalQaoa::approximation_ratio(
+    std::span<const double> params) const {
+  require(max_value_ > 0.0,
+          "DiagonalQaoa::approximation_ratio: max value must be positive");
+  return expectation(params) / max_value_;
 }
 
-optim::ObjectiveFn MaxCutQaoa::objective() const {
-  return [this](std::span<const double> params) {
-    return -expectation(params);
-  };
-}
-
-optim::ObjectiveFn MaxCutQaoa::buffered_objective() const {
-  auto workspace = std::make_shared<quantum::Statevector>(
-      quantum::Statevector::uniform(num_qubits()));
-  return [this, workspace](std::span<const double> params) {
-    return -expectation_using(*workspace, params);
-  };
-}
-
-optim::ObjectiveFn MaxCutQaoa::buffered_objective(
-    const EvalSpec& spec, std::uint64_t stream_seed) const {
-  if (!spec.sampled()) return buffered_objective();
+optim::ObjectiveFn DiagonalQaoa::objective(const EvalSpec& spec,
+                                           std::uint64_t stream_seed) const {
   validate(spec);
-  struct SampledState {
-    quantum::Statevector workspace;
+  // Idle workspaces, shared by the callable's copies.  A call borrows
+  // one (or makes one when all are busy) and returns it, so concurrent
+  // callers never share a state and warm calls allocate nothing.
+  struct Workspace {
+    quantum::Statevector state;
     std::vector<double> cdf;
-    Rng rng;
   };
-  auto state = std::make_shared<SampledState>(SampledState{
-      quantum::Statevector::uniform(num_qubits()), {}, Rng(stream_seed)});
-  return [this, state, spec, stream_seed](std::span<const double> params) {
-    if (spec.seed_policy == SeedPolicy::kPerCall) state->rng = Rng(stream_seed);
-    return -evaluate_using(state->workspace, state->cdf, params, spec,
-                           state->rng);
+  struct Pool {
+    std::mutex mutex;
+    std::vector<std::unique_ptr<Workspace>> idle;
+    std::mutex stream_mutex;  // serializes kStream calls on `stream`
+    Rng stream;
+  };
+  auto pool = std::make_shared<Pool>();
+  pool->stream = Rng(stream_seed);
+  return [this, pool, spec, stream_seed](std::span<const double> params) {
+    std::unique_ptr<Workspace> workspace;
+    {
+      const std::lock_guard<std::mutex> lock(pool->mutex);
+      if (!pool->idle.empty()) {
+        workspace = std::move(pool->idle.back());
+        pool->idle.pop_back();
+      }
+    }
+    if (!workspace) {
+      workspace = std::make_unique<Workspace>(
+          Workspace{quantum::Statevector(num_qubits()), {}});
+    }
+    double value = 0.0;
+    if (!spec.sampled()) {
+      value = -expectation_using(workspace->state, params);
+    } else if (spec.seed_policy == SeedPolicy::kPerCall) {
+      Rng rng(stream_seed);
+      value = -evaluate_using(workspace->state, workspace->cdf, params, spec,
+                              rng);
+    } else {
+      const std::lock_guard<std::mutex> lock(pool->stream_mutex);
+      value = -evaluate_using(workspace->state, workspace->cdf, params, spec,
+                              pool->stream);
+    }
+    const std::lock_guard<std::mutex> lock(pool->mutex);
+    pool->idle.push_back(std::move(workspace));
+    return value;
   };
 }
+
+MaxCutQaoa::MaxCutQaoa(graph::Graph g, int depth)
+    : DiagonalQaoa(ising::DiagonalHamiltonian::maxcut(validated(g, depth)),
+                   depth, /*power_table=*/true),
+      graph_(std::move(g)) {}
 
 }  // namespace qaoaml::core

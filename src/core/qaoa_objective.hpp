@@ -1,20 +1,27 @@
-// The QAOA cost-expectation objective for MaxCut.
+// The QAOA cost-expectation objective over a diagonal cost.
 //
-// One instance = (problem graph, circuit depth p).  Every optimizer
-// iteration evaluates <psi(gamma, beta)| C |psi(gamma, beta)> where C is
-// the diagonal MaxCut cost operator; the classical loop *maximizes* this
-// expectation, so objective() exposes its negative for the minimizers.
+// QAOA is one algorithm over a cost C that is diagonal in the
+// computational basis: each stage applies the phase separator
+// exp(-i gamma C) and the RX(beta) mixer, and the objective is
+// <C> = sum_z |psi_z|^2 C(z).  DiagonalQaoa is one instance = (diagonal
+// cost, circuit depth p) and owns every evaluation of it; MaxCutQaoa
+// adds only the problem graph, and a general Ising cost is
+// DiagonalQaoa(DiagonalHamiltonian::from_ising(model), p).  The
+// classical loop *maximizes* <C>, so objective() exposes its negative
+// for the minimizers.
 //
-// One evaluation path: each QAOA stage — phase separator exp(-i gamma C)
-// and RX(beta) mixer — is one fused layer, a few blocked sweeps via
-// Statevector::apply_qaoa_layer* (see quantum/fused_kernels.hpp).  For
-// unweighted graphs the cut spectrum is integral, so the phase
-// separator collapses to a precomputed power table (exp(-i gamma)^C(z)).
-// The tests check this path against an unfused layer sequence and a
-// gate-by-gate CNOT/RZ/RX ansatz simulation (tests/support).
+// One evaluation path: each stage is one fused layer, a few blocked
+// sweeps via Statevector::apply_qaoa_layer* (see
+// quantum/fused_kernels.hpp).  The MaxCut cost of an unweighted graph
+// has an integral spectrum, so its phase separator collapses to a
+// precomputed power table (exp(-i gamma)^C(z)); every other diagonal,
+// an integral Ising one included, takes the general layer.  The tests
+// check both against an unfused layer sequence and a gate-by-gate
+// CNOT/RZ/RX ansatz simulation (tests/support).
 #ifndef QAOAML_CORE_QAOA_OBJECTIVE_HPP
 #define QAOAML_CORE_QAOA_OBJECTIVE_HPP
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -27,28 +34,26 @@
 
 namespace qaoaml::core {
 
-/// A MaxCut-QAOA problem instance of fixed depth.
-class MaxCutQaoa {
+/// A depth-p QAOA instance that maximizes a diagonal cost.
+class DiagonalQaoa {
  public:
-  /// Requires a graph with >= 1 edge and at most quantum::kMaxQubits
-  /// nodes, and depth >= 1; checked before the 2^n cut table is built.
-  MaxCutQaoa(graph::Graph g, int depth);
+  /// Requires depth >= 1.
+  DiagonalQaoa(ising::DiagonalHamiltonian hamiltonian, int depth);
 
   int depth() const { return depth_; }
-  int num_qubits() const { return graph_.num_nodes(); }
+  int num_qubits() const { return hamiltonian_.num_qubits(); }
   std::size_t num_parameters() const;
-  const graph::Graph& problem_graph() const { return graph_; }
   const ising::DiagonalHamiltonian& hamiltonian() const { return hamiltonian_; }
 
-  /// Exact MaxCut optimum (brute force), the AR denominator.
-  double max_cut_value() const { return max_cut_; }
+  /// The largest cost value (exact, by enumeration): the AR denominator.
+  double max_value() const { return max_value_; }
 
   /// The paper's optimization box for this depth.
   optim::Bounds bounds() const;
 
-  /// True when every cut value is an integer (unweighted graphs); the
-  /// layer then uses the power-table phase separator.
-  bool has_integer_spectrum() const { return integral_; }
+  /// True when the layers use the power-table phase separator: a MaxCut
+  /// cost whose every cut value is an integer (unweighted graphs).
+  bool has_integer_spectrum() const { return !int_diagonal_.empty(); }
 
   /// |psi(gamma, beta)>.
   quantum::Statevector state(std::span<const double> params) const;
@@ -67,66 +72,67 @@ class MaxCutQaoa {
   double expectation_using(quantum::Statevector& workspace,
                            std::span<const double> params) const;
 
-  /// Finite-shot estimate of <C> (Born-rule sampling).  Convenience
-  /// wrapper over sampled_expectation_using with private workspaces —
-  /// one 2^n statevector + one 2^n CDF allocation per call.
+  /// Finite-shot estimate of <C> (Born-rule sampling): evaluate_using
+  /// with a `shots`-shot spec in private workspaces (one 2^n statevector
+  /// + one 2^n CDF allocation per call).
   double sampled_expectation(std::span<const double> params, int shots,
                              Rng& rng) const;
 
-  /// Finite-shot estimate of <C> reusing caller-owned workspaces (no
-  /// allocation when capacities match): prepares |psi> in `workspace`,
-  /// builds the Born-rule CDF once in `cdf_workspace` (serial prefix
-  /// sum), then draws `shots` basis states by CDF inversion — O(2^n +
-  /// shots * n) instead of the naive O(shots * 2^n) scan.  The estimate
-  /// is a pure function of (params, shots, rng state): bit-identical
-  /// across QAOAML_THREADS, shard counts, and batch positions.
-  double sampled_expectation_using(quantum::Statevector& workspace,
-                                   std::vector<double>& cdf_workspace,
-                                   std::span<const double> params, int shots,
-                                   Rng& rng) const;
-
-  /// <C> under `spec`: expectation_using in exact mode (rng untouched);
-  /// in sampled mode, `spec.averaging` repeated `spec.shots`-shot
-  /// estimates averaged, drawn sequentially from `rng`.  Validates the
+  /// <C> under `spec`: expectation_using in exact mode (rng untouched).
+  /// Sampled mode prepares |psi> in `workspace`, builds the Born-rule
+  /// CDF once in `cdf_workspace` (serial prefix sum), then averages
+  /// `spec.shots * spec.averaging` basis-state draws taken sequentially
+  /// from `rng` by CDF inversion — O(2^n + shots * n).  The estimate is a
+  /// pure function of (params, spec, rng state): bit-identical across
+  /// QAOAML_THREADS, shard counts and batch positions.  Validates the
   /// spec (hostile shot counts throw).
   double evaluate_using(quantum::Statevector& workspace,
                         std::vector<double>& cdf_workspace,
                         std::span<const double> params, const EvalSpec& spec,
                         Rng& rng) const;
 
-  /// expectation / max_cut_value.
+  /// expectation / max_value (requires max_value > 0).
   double approximation_ratio(std::span<const double> params) const;
 
-  /// Minimization objective: -<C>.  The returned callable references
-  /// this instance, which must outlive it.  Stateless, so one callable
-  /// may be shared across threads.
-  optim::ObjectiveFn objective() const;
+  /// Minimization objective -<C> under `spec`; references this
+  /// instance, which must outlive it.  One callable may be shared by
+  /// concurrent callers: each call borrows a statevector/CDF workspace
+  /// from a pool shared by the callable's copies (made on first use, so
+  /// warm calls allocate nothing).  Exact and SeedPolicy::kPerCall
+  /// values are pure functions of the angles — kPerCall re-seeds the
+  /// measurement stream with `stream_seed` every call (common random
+  /// numbers).  SeedPolicy::kStream draws from one stream seeded with
+  /// `stream_seed` that advances call to call, so its values depend on
+  /// call order.
+  optim::ObjectiveFn objective(const EvalSpec& spec = EvalSpec::exact(),
+                               std::uint64_t stream_seed = 0) const;
 
-  /// Minimization objective backed by a private reusable statevector
-  /// workspace: repeated calls make no 2^n allocations.  Copies of the
-  /// returned callable share one workspace — create one callable per
-  /// thread (optimizer run) instead of sharing across threads.
-  optim::ObjectiveFn buffered_objective() const;
+ protected:
+  /// With `power_table`, an integral diagonal with entries in [0, 1e6]
+  /// takes the power-table phase separator.
+  DiagonalQaoa(ising::DiagonalHamiltonian hamiltonian, int depth,
+               bool power_table);
 
-  /// Minimization objective under `spec`.  Exact mode returns
-  /// buffered_objective().  Sampled mode owns private statevector/CDF
-  /// workspaces plus a private measurement stream seeded with
-  /// `stream_seed`: SeedPolicy::kStream advances the stream call to
-  /// call (fresh noise), kPerCall re-seeds every call (common random
-  /// numbers — a deterministic noisy surrogate).  Copies share state:
-  /// one callable per optimizer run, not across threads.
-  optim::ObjectiveFn buffered_objective(const EvalSpec& spec,
-                                        std::uint64_t stream_seed) const;
+ private:
+  ising::DiagonalHamiltonian hamiltonian_;
+  int depth_;
+  double max_value_ = 0.0;
+  std::vector<int> int_diagonal_;  // empty unless the power table is on
+  int max_int_value_ = 0;
+};
+
+/// The MaxCut-QAOA instance of the paper: the cut-value diagonal of a
+/// problem graph.
+class MaxCutQaoa : public DiagonalQaoa {
+ public:
+  /// Requires a graph with >= 1 edge and at most quantum::kMaxQubits
+  /// nodes, and depth >= 1; checked before the 2^n cut table is built.
+  MaxCutQaoa(graph::Graph g, int depth);
+
+  const graph::Graph& problem_graph() const { return graph_; }
 
  private:
   graph::Graph graph_;
-  int depth_;
-  ising::DiagonalHamiltonian hamiltonian_;
-  double max_cut_ = 0.0;
-
-  bool integral_ = false;
-  std::vector<int> int_diagonal_;  // cut values as integers
-  int max_int_value_ = 0;
 };
 
 }  // namespace qaoaml::core

@@ -1,6 +1,6 @@
 // The QAOA classical optimization loop (Fig. 1(a) of the paper).
 //
-// Wraps the optim module around a MaxCutQaoa objective and translates
+// Wraps the optim module around a DiagonalQaoa objective and translates
 // results into QAOA vocabulary: expectation, approximation ratio (AR)
 // and function-call count (FC, the paper's run-time metric).
 #ifndef QAOAML_CORE_QAOA_SOLVER_HPP
@@ -19,14 +19,14 @@ struct QaoaRun {
   std::vector<double> params;       ///< optimized angles (canonicalized
                                     ///  when the spectrum is integral)
   double expectation = 0.0;         ///< <C> at the optimum
-  double approximation_ratio = 0.0; ///< expectation / MaxCut
+  double approximation_ratio = 0.0; ///< expectation / max_value
   int function_calls = 0;           ///< QC calls consumed by this run
   int iterations = 0;
   optim::StopReason stop = optim::StopReason::kConverged;
 };
 
 /// Runs the loop from an explicit starting point (warm start).
-QaoaRun solve_from(const MaxCutQaoa& instance, optim::OptimizerKind optimizer,
+QaoaRun solve_from(const DiagonalQaoa& instance, optim::OptimizerKind optimizer,
                    std::span<const double> x0,
                    const optim::Options& options = {});
 
@@ -40,14 +40,14 @@ QaoaRun solve_from(const MaxCutQaoa& instance, optim::OptimizerKind optimizer,
 
 /// solve_from under `eval`.  The measurement stream is seeded with
 /// `eval.seed` (no caller Rng at this entry point).
-QaoaRun solve_from(const MaxCutQaoa& instance, optim::OptimizerKind optimizer,
+QaoaRun solve_from(const DiagonalQaoa& instance, optim::OptimizerKind optimizer,
                    std::span<const double> x0, const EvalSpec& eval,
                    const optim::Options& options = {});
 
 /// solve_from under `eval` with an explicit measurement-stream seed —
 /// for callers that manage substreams themselves (multistart, the
 /// two-level flow, pipelines).  Exact mode ignores the seed.
-QaoaRun solve_from_seeded(const MaxCutQaoa& instance,
+QaoaRun solve_from_seeded(const DiagonalQaoa& instance,
                           optim::OptimizerKind optimizer,
                           std::span<const double> x0, const EvalSpec& eval,
                           std::uint64_t stream_seed,
@@ -55,7 +55,7 @@ QaoaRun solve_from_seeded(const MaxCutQaoa& instance,
 
 /// Runs the loop from one uniformly random initialization (the paper's
 /// QCR flow).
-QaoaRun solve_random_init(const MaxCutQaoa& instance,
+QaoaRun solve_random_init(const DiagonalQaoa& instance,
                           optim::OptimizerKind optimizer, Rng& rng,
                           const optim::Options& options = {});
 
@@ -64,7 +64,7 @@ QaoaRun solve_random_init(const MaxCutQaoa& instance,
 /// specs consume exactly the draws of the exact overload (pipelines
 /// stay bit-compatible) and shard units stay pure functions of their
 /// own rng stream.
-QaoaRun solve_random_init(const MaxCutQaoa& instance,
+QaoaRun solve_random_init(const DiagonalQaoa& instance,
                           optim::OptimizerKind optimizer, Rng& rng,
                           const EvalSpec& eval,
                           const optim::Options& options = {});
@@ -80,13 +80,14 @@ struct MultistartRuns {
 /// Runs `restarts` optimizations from random starting points and keeps
 /// the best.  The restarts are evaluated as ONE batch over the thread
 /// pool, BatchEvaluator-style: contiguous restart chunks are dispatched
-/// together and each chunk's runs share a single reusable statevector
+/// together and each chunk's runs share a single private statevector
 /// workspace, so a batch makes O(threads) 2^n allocations instead of
-/// O(restarts).  Bit-identical to solve_multistart_sequential for every
-/// thread count: starting points are drawn from `rng` up front in
-/// restart order, each run depends only on its own start, and the
-/// best/total reduction happens in restart order.
-MultistartRuns solve_multistart(const MaxCutQaoa& instance,
+/// O(restarts) and no objective call takes a lock.  Bit-identical to
+/// solve_multistart_sequential for every thread count: starting points
+/// are drawn from `rng` up front in restart order, each run depends
+/// only on its own start, and the best/total reduction happens in
+/// restart order.
+MultistartRuns solve_multistart(const DiagonalQaoa& instance,
                                 optim::OptimizerKind optimizer, int restarts,
                                 Rng& rng, const optim::Options& options = {});
 
@@ -95,24 +96,24 @@ MultistartRuns solve_multistart(const MaxCutQaoa& instance,
 /// order (right after the starting points), so chunk boundaries and
 /// thread counts cannot change a bit and exact specs leave the rng
 /// sequence identical to the exact overload.
-MultistartRuns solve_multistart(const MaxCutQaoa& instance,
+MultistartRuns solve_multistart(const DiagonalQaoa& instance,
                                 optim::OptimizerKind optimizer, int restarts,
                                 Rng& rng, const EvalSpec& eval,
                                 const optim::Options& options = {});
 
-/// The plain one-restart-after-another reference path (one fresh
-/// buffered objective per restart, no batching).  Kept as the
+/// The plain one-restart-after-another reference path (one solve_from
+/// with a fresh workspace per restart, no batching).  Kept as the
 /// differential-testing oracle for the batched path — same restarts,
 /// same winner, bit-identical objectives — and as the honest baseline
 /// for bench_multistart.
 MultistartRuns solve_multistart_sequential(
-    const MaxCutQaoa& instance, optim::OptimizerKind optimizer, int restarts,
+    const DiagonalQaoa& instance, optim::OptimizerKind optimizer, int restarts,
     Rng& rng, const optim::Options& options = {});
 
 /// The sequential oracle under `eval` — same seed derivation as the
 /// batched EvalSpec overload, bit-identical results.
 MultistartRuns solve_multistart_sequential(
-    const MaxCutQaoa& instance, optim::OptimizerKind optimizer, int restarts,
+    const DiagonalQaoa& instance, optim::OptimizerKind optimizer, int restarts,
     Rng& rng, const EvalSpec& eval, const optim::Options& options = {});
 
 }  // namespace qaoaml::core

@@ -415,7 +415,7 @@ void Scheduler::process_batch(std::vector<Job>& jobs) {
         Response& response = responses[deferred[k].job];
         response.expectation = values[k];
         response.approximation_ratio =
-            values[k] / deferred[k].instance.max_cut_value();
+            values[k] / deferred[k].instance.max_value();
         // Level-1 calls plus the single prediction-point evaluation.
         response.function_calls = deferred[k].level1_calls + 1;
       }

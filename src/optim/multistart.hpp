@@ -24,9 +24,9 @@ struct MultistartResult {
 /// Runs `minimize` from `restarts` initial points sampled uniformly in
 /// `bounds` and returns all runs plus the best.  Restarts execute in
 /// parallel (QAOAML_THREADS workers) sharing `fn`, so the objective must
-/// be safe to call concurrently — true for any pure function of its
-/// input, e.g. MaxCutQaoa::objective().  For stateful objectives use the
-/// factory overload below.  Results are deterministic: the initial
+/// be safe to call concurrently — e.g. core::DiagonalQaoa::objective(),
+/// whose exact values are pure functions of the angles.  For objectives
+/// that are not, use the factory overload below.  Results are deterministic: the initial
 /// points are drawn from `rng` up front in restart order and each run
 /// depends only on its own starting point.
 MultistartResult multistart_minimize(OptimizerKind kind, const ObjectiveFn& fn,
@@ -35,7 +35,7 @@ MultistartResult multistart_minimize(OptimizerKind kind, const ObjectiveFn& fn,
 
 /// Creates one objective per restart; the factory itself is called
 /// concurrently but each produced objective is used by a single run.
-/// This is how buffered (workspace-reusing) objectives go parallel.
+/// This is how single-caller (workspace-owning) objectives go parallel.
 using ObjectiveFactory = std::function<ObjectiveFn()>;
 MultistartResult multistart_minimize_factory(OptimizerKind kind,
                                              const ObjectiveFactory& make_fn,

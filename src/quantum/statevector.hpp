@@ -47,7 +47,7 @@ inline constexpr std::size_t kAmplitudeParallelDim = std::size_t{2} * kParallelG
 
 /// The largest state the simulator holds: 2^26 amplitudes, 1 GiB.  Every
 /// size check on a problem that becomes a state (Statevector itself,
-/// MaxCutQaoa, the serving decoder) uses this one bound.
+/// the MaxCutQaoa graph check, the serving decoder) uses this one bound.
 inline constexpr int kMaxQubits = 26;
 
 /// Dense n-qubit quantum state.

@@ -97,13 +97,13 @@ double gate_level_expectation(const core::MaxCutQaoa& instance,
       .expectation_diagonal(instance.hamiltonian().diagonal());
 }
 
-double gate_level_expectation(const core::IsingQaoa& instance,
+double gate_level_expectation(const ising::IsingModel& model,
                               std::span<const double> params) {
-  require(params.size() == instance.num_parameters(),
+  require(params.size() >= 2 && params.size() % 2 == 0,
           "gate_level_expectation: wrong parameter count");
-  return build_ising_ansatz(instance.model(), instance.depth())
+  return build_ising_ansatz(model, static_cast<int>(params.size() / 2))
       .simulate(params)
-      .expectation_diagonal(instance.hamiltonian().diagonal());
+      .expectation_diagonal(model.diagonal());
 }
 
 void apply_unfused_layer(quantum::Statevector& sv,

@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "core/ising_qaoa.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/graph.hpp"
 #include "ising/ising_model.hpp"
@@ -59,7 +58,10 @@ quantum::Circuit build_ising_ansatz(const ising::IsingModel& model, int depth);
 /// <C> via gate-by-gate simulation of the instance's explicit ansatz.
 double gate_level_expectation(const core::MaxCutQaoa& instance,
                               std::span<const double> params);
-double gate_level_expectation(const core::IsingQaoa& instance,
+
+/// <H> of `model` via gate-by-gate simulation of its depth-p Ising
+/// ansatz (p = params.size() / 2).
+double gate_level_expectation(const ising::IsingModel& model,
                               std::span<const double> params);
 
 /// One unfused QAOA layer: apply_diagonal_evolution(diag, gamma), then

@@ -18,9 +18,10 @@
 #include "common/rng.hpp"
 #include "core/angles.hpp"
 #include "core/batch_evaluator.hpp"
-#include "core/ising_qaoa.hpp"
+#include "core/eval_spec.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
+#include "ising/diagonal_hamiltonian.hpp"
 #include "ising/ising_model.hpp"
 
 namespace {
@@ -125,19 +126,33 @@ TEST(Allocations, WarmBatchEvaluatorExpectationAllocatesNothing) {
 }
 
 TEST(Allocations, WarmObjectivesAllocateNothing) {
+  // objective() in exact and both sampled seed policies, on the MaxCut
+  // construction (power table) and on an Ising construction of the same
+  // cost (general layer).
   Rng rng(0x0B1);
   const graph::Graph g = graph::erdos_renyi_gnp(8, 0.6, rng);
   const core::MaxCutQaoa maxcut(g, 3);
-  const core::IsingQaoa ising(ising::IsingModel::from_maxcut(g), 3);
+  const core::DiagonalQaoa ising(
+      ising::DiagonalHamiltonian::from_ising(ising::IsingModel::from_maxcut(g)),
+      3);
   const std::vector<double> params = core::random_angles(3, rng);
-  const optim::ObjectiveFn buffered = maxcut.buffered_objective();
-  const optim::ObjectiveFn ising_objective = ising.objective();
+  core::EvalSpec per_call = core::EvalSpec::sampled_with(64, 0, 2);
+  per_call.seed_policy = core::SeedPolicy::kPerCall;
+  const core::EvalSpec specs[] = {core::EvalSpec::exact(),
+                                  core::EvalSpec::sampled_with(64, 0, 2),
+                                  per_call};
   double sink = 0.0;
-  EXPECT_EQ(allocations_per_batch([&](int) { sink += buffered(params); }, 2, 32),
-            0);
-  EXPECT_EQ(
-      allocations_per_batch([&](int) { sink += ising_objective(params); }, 2, 32),
-      0);
+  for (const core::DiagonalQaoa* instance :
+       {static_cast<const core::DiagonalQaoa*>(&maxcut), &ising}) {
+    for (const core::EvalSpec& spec : specs) {
+      const optim::ObjectiveFn objective = instance->objective(spec, 5);
+      EXPECT_EQ(
+          allocations_per_batch([&](int) { sink += objective(params); }, 2, 32),
+          0)
+          << core::to_string(spec)
+          << " power_table=" << instance->has_integer_spectrum();
+    }
+  }
   EXPECT_TRUE(std::isfinite(sink));
 }
 

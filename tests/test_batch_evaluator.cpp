@@ -92,20 +92,23 @@ TEST(BatchEvaluator, SingleCallReusesWorkspaceAndMatches) {
     const std::vector<double> params = core::random_angles(3, rng);
     EXPECT_NEAR(evaluator.expectation(params), instance.expectation(params),
                 1e-12);
-    EXPECT_DOUBLE_EQ(evaluator.objective(params),
-                     -evaluator.expectation(params));
   }
 }
 
-TEST(BatchEvaluator, BufferedObjectiveMatchesPlainObjective) {
+TEST(BatchEvaluator, ObjectiveMatchesEvaluatorExpectation) {
+  // The pooled objective() and the evaluator's private workspace run the
+  // same state build: bit-identical values on both phase paths.
   Rng rng(9);
-  const graph::Graph g = graph::random_regular(8, 3, rng);
-  const MaxCutQaoa instance(g, 2);
-  const optim::ObjectiveFn plain = instance.objective();
-  const optim::ObjectiveFn buffered = instance.buffered_objective();
-  for (int i = 0; i < 25; ++i) {
-    const std::vector<double> params = core::random_angles(2, rng);
-    EXPECT_DOUBLE_EQ(buffered(params), plain(params));
+  const graph::Graph unweighted = graph::random_regular(8, 3, rng);
+  const graph::Graph weighted = random_weighted_graph(8, rng);
+  for (const graph::Graph* g : {&unweighted, &weighted}) {
+    const MaxCutQaoa instance(*g, 2);
+    const optim::ObjectiveFn objective = instance.objective();
+    BatchEvaluator evaluator(instance);
+    for (int i = 0; i < 25; ++i) {
+      const std::vector<double> params = core::random_angles(2, rng);
+      EXPECT_EQ(objective(params), -evaluator.expectation(params));
+    }
   }
 }
 
@@ -121,7 +124,7 @@ TEST(BatchEvaluator, HeterogeneousInstanceBatch) {
     jobs.push_back({&small, core::random_angles(1, rng)});
     jobs.push_back({&large, core::random_angles(3, rng)});
   }
-  const std::vector<double> values = BatchEvaluator::expectations(jobs);
+  const std::vector<double> values = BatchEvaluator::evaluations(jobs);
   ASSERT_EQ(values.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_NEAR(values[i], jobs[i].instance->expectation(jobs[i].params),

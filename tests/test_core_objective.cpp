@@ -113,7 +113,7 @@ TEST(Objective, ExpectationLiesWithinSpectrum) {
   for (int trial = 0; trial < 20; ++trial) {
     const double e = instance.expectation(random_angles(3, rng));
     EXPECT_GE(e, instance.hamiltonian().min_value() - 1e-9);
-    EXPECT_LE(e, instance.max_cut_value() + 1e-9);
+    EXPECT_LE(e, instance.max_value() + 1e-9);
   }
 }
 
@@ -143,7 +143,7 @@ TEST(Objective, ApproximationRatioNormalizes) {
   const MaxCutQaoa instance(g, 2);
   const std::vector<double> params = random_angles(2, rng);
   EXPECT_NEAR(instance.approximation_ratio(params),
-              instance.expectation(params) / instance.max_cut_value(), 1e-12);
+              instance.expectation(params) / instance.max_value(), 1e-12);
 }
 
 TEST(Objective, SampledExpectationConvergesToExact) {
@@ -184,7 +184,7 @@ TEST(Solver, RunReportsConsistentMetrics) {
   EXPECT_GT(run.function_calls, 0);
   EXPECT_NEAR(run.expectation, instance.expectation(run.params), 1e-9);
   EXPECT_NEAR(run.approximation_ratio,
-              run.expectation / instance.max_cut_value(), 1e-12);
+              run.expectation / instance.max_value(), 1e-12);
   EXPECT_LE(beta_of(run.params, 1), M_PI / 2.0 + 1e-12);  // canonicalized
 }
 

@@ -209,7 +209,7 @@ TEST(EvalSpec, BatchMatchesSequentialAndFollowsPermutation) {
   const std::vector<double> batched = BatchEvaluator::evaluations(jobs);
   ASSERT_EQ(batched.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const MaxCutQaoa& inst = *jobs[i].instance;
+    const core::DiagonalQaoa& inst = *jobs[i].instance;
     if (!jobs[i].eval.sampled()) {
       EXPECT_EQ(batched[i], inst.expectation(jobs[i].params));
       continue;
@@ -282,12 +282,12 @@ TEST(EvalSpec, AveragingDrawsTheCombinedShotBudget) {
   const double averaged = instance.evaluate_using(
       ws, cdf, params, EvalSpec::sampled_with(100, 0, 4), rng_avg);
   Rng rng_flat(7);
-  const double flat =
-      instance.sampled_expectation_using(ws, cdf, params, 400, rng_flat);
+  const double flat = instance.evaluate_using(
+      ws, cdf, params, EvalSpec::sampled_with(400, 0), rng_flat);
   EXPECT_EQ(averaged, flat);
 }
 
-TEST(EvalSpec, BufferedObjectiveSeedPolicies) {
+TEST(EvalSpec, ObjectiveSeedPolicies) {
   const MaxCutQaoa instance = test_instance(8, 2, 61);
   Rng prng(5);
   const std::vector<double> params = core::random_angles(2, prng);
@@ -295,18 +295,17 @@ TEST(EvalSpec, BufferedObjectiveSeedPolicies) {
   // kPerCall re-seeds every call: a deterministic noisy surrogate.
   EvalSpec per_call = EvalSpec::sampled_with(64, 0);
   per_call.seed_policy = SeedPolicy::kPerCall;
-  const optim::ObjectiveFn surrogate =
-      instance.buffered_objective(per_call, 123);
+  const optim::ObjectiveFn surrogate = instance.objective(per_call, 123);
   EXPECT_EQ(surrogate(params), surrogate(params));
 
   // kStream advances: fresh noise call to call.
-  const optim::ObjectiveFn noisy = instance.buffered_objective(
-      EvalSpec::sampled_with(64, 0), 123);
+  const optim::ObjectiveFn noisy =
+      instance.objective(EvalSpec::sampled_with(64, 0), 123);
   EXPECT_NE(noisy(params), noisy(params));
 
-  // Exact specs are the plain buffered objective.
+  // Exact specs ignore the stream seed.
   const optim::ObjectiveFn exact_fn =
-      instance.buffered_objective(EvalSpec::exact(), 999);
+      instance.objective(EvalSpec::exact(), 999);
   EXPECT_EQ(exact_fn(params), -instance.expectation(params));
 }
 

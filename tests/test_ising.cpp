@@ -1,16 +1,18 @@
-// Tests for Ising models, diagonal Hamiltonians and the general Ising
-// QAOA ansatz.
+// Tests for Ising models, diagonal Hamiltonians and QAOA over a general
+// Ising cost (core::DiagonalQaoa on the model's diagonal).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/angles.hpp"
-#include "core/ising_qaoa.hpp"
+#include "core/eval_spec.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxcut.hpp"
@@ -161,13 +163,20 @@ TEST(DiagonalHamiltonian, ArgmaxAchievesMaxValue) {
 namespace qaoaml {
 namespace {
 
+/// The depth-p QAOA instance of a general Ising model.
+core::DiagonalQaoa ising_qaoa(const ising::IsingModel& model, int depth) {
+  return core::DiagonalQaoa(ising::DiagonalHamiltonian::from_ising(model),
+                            depth);
+}
+
 TEST(IsingQaoa, MatchesMaxCutQaoaOnUnweightedGraphs) {
   // The general Ising ansatz on the MaxCut model must produce the same
   // expectations as the dedicated MaxCut ansatz.
   Rng rng(11);
   const graph::Graph g = graph::random_regular(8, 3, rng);
   const core::MaxCutQaoa maxcut(g, 3);
-  const core::IsingQaoa ising(ising::IsingModel::from_maxcut(g), 3);
+  const core::DiagonalQaoa ising =
+      ising_qaoa(ising::IsingModel::from_maxcut(g), 3);
   for (int trial = 0; trial < 8; ++trial) {
     const std::vector<double> params = core::random_angles(3, rng);
     EXPECT_NEAR(maxcut.expectation(params), ising.expectation(params), 1e-9);
@@ -182,11 +191,38 @@ TEST(IsingQaoa, GateAndFastPathsAgree) {
   model.add_coupling(0, 1, 0.8);
   model.add_coupling(1, 3, -0.5);
   model.add_coupling(2, 4, 0.3);
-  const core::IsingQaoa instance(model, 2);
+  const core::DiagonalQaoa instance = ising_qaoa(model, 2);
   for (int trial = 0; trial < 6; ++trial) {
     const std::vector<double> params = core::random_angles(2, rng);
     EXPECT_NEAR(instance.expectation(params),
-                oracle::gate_level_expectation(instance, params), 1e-10);
+                oracle::gate_level_expectation(model, params), 1e-10);
+  }
+}
+
+TEST(IsingQaoa, IntegralDiagonalKeepsTheGeneralLayer) {
+  // The MaxCut model's diagonal is integral and non-negative, but only
+  // MaxCutQaoa switches the power-table phase separator on: an Ising
+  // instance keeps the general layer, so its bits do not move.
+  Rng rng(23);
+  const graph::Graph g = graph::erdos_renyi_gnp(8, 0.5, rng);
+  const ising::IsingModel model = ising::IsingModel::from_maxcut(g);
+  const core::DiagonalQaoa instance = ising_qaoa(model, 3);
+  for (const double c : instance.hamiltonian().diagonal()) {
+    ASSERT_EQ(c, std::round(c));
+    ASSERT_GE(c, 0.0);
+  }
+  EXPECT_FALSE(instance.has_integer_spectrum());
+  EXPECT_TRUE(core::MaxCutQaoa(g, 3).has_integer_spectrum());
+
+  const std::vector<double>& diag = instance.hamiltonian().diagonal();
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::vector<double> params = core::random_angles(3, rng);
+    quantum::Statevector general = quantum::Statevector::uniform(8);
+    for (int stage = 0; stage < 3; ++stage) {
+      general.apply_qaoa_layer(diag, core::gamma_of(params, stage + 1),
+                               core::beta_of(params, stage + 1));
+    }
+    EXPECT_EQ(instance.state(params).amplitudes(), general.amplitudes());
   }
 }
 
@@ -196,7 +232,7 @@ TEST(IsingQaoa, FieldsBreakTheCutSymmetry) {
   ising::IsingModel model(3);
   model.set_field(0, 2.0);  // rewards s_0 = +1 (bit 0 = 0)
   model.add_coupling(1, 2, -1.0);
-  const core::IsingQaoa instance(model, 2);
+  const core::DiagonalQaoa instance = ising_qaoa(model, 2);
   Rng rng(17);
   double best = -1e300;
   std::vector<double> best_params;
@@ -216,43 +252,85 @@ TEST(IsingQaoa, ZeroAnglesGiveUniformAverage) {
   ising::IsingModel model(4);
   model.add_coupling(0, 2, 0.9);
   model.set_field(3, 0.2);
-  const core::IsingQaoa instance(model, 1);
+  const core::DiagonalQaoa instance = ising_qaoa(model, 1);
   // Uniform state: <Z> = 0 for every spin, so only the constant remains.
   const std::vector<double> zeros(2, 0.0);
   EXPECT_NEAR(instance.expectation(zeros), model.constant(), 1e-10);
 }
 
 TEST(IsingQaoa, ObjectiveReusesWorkspacesWithTheSameBitsAcrossThreads) {
+  // One objective() callable shared by concurrent callers, as
+  // optim::multistart_minimize shares it, over a MaxCut instance (power
+  // table) and an Ising instance (general layer).  Exact and
+  // SeedPolicy::kPerCall values are pure functions of the angles.
   Rng rng(19);
   ising::IsingModel model(9);
   model.set_constant(0.5);
   for (int i = 0; i < 9; ++i) model.set_field(i, rng.normal(0.0, 0.4));
   for (int i = 0; i + 1 < 9; ++i) model.add_coupling(i, i + 1, rng.uniform(-1.0, 1.0));
-  const core::IsingQaoa instance(model, 2);
+  const core::DiagonalQaoa ising = ising_qaoa(model, 2);
+  const core::MaxCutQaoa maxcut(graph::random_regular(10, 3, rng), 2);
+  core::EvalSpec per_call = core::EvalSpec::sampled_with(256, 0, 2);
+  per_call.seed_policy = core::SeedPolicy::kPerCall;
+  constexpr std::uint64_t kStreamSeed = 77;
+
   std::vector<std::vector<double>> points;
-  std::vector<double> expected;
-  for (int k = 0; k < 16; ++k) {
-    points.push_back(core::random_angles(2, rng));
-    expected.push_back(-instance.expectation(points.back()));
-  }
-  // One callable shared by concurrent callers, as multistart does.
-  const optim::ObjectiveFn objective = instance.objective();
-  const ScopedThreadCount threads(4);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<double> values(points.size());
-    parallel_for(points.size(),
-                 [&](std::size_t k) { values[k] = objective(points[k]); });
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(values[k]),
-                std::bit_cast<std::uint64_t>(expected[k]))
-          << "round " << round << " point " << k;
+  for (int k = 0; k < 16; ++k) points.push_back(core::random_angles(2, rng));
+  for (const core::DiagonalQaoa* instance :
+       {static_cast<const core::DiagonalQaoa*>(&maxcut), &ising}) {
+    for (const core::EvalSpec& spec : {core::EvalSpec::exact(), per_call}) {
+      const bool sampled = spec.sampled();
+      std::vector<double> expected;
+      quantum::Statevector workspace(3);
+      std::vector<double> cdf;
+      for (const std::vector<double>& point : points) {
+        Rng stream(kStreamSeed);
+        expected.push_back(
+            -instance->evaluate_using(workspace, cdf, point, spec, stream));
+      }
+      EXPECT_EQ(workspace.num_qubits(), instance->num_qubits());
+      if (!sampled) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      -instance->expectation(points[0])),
+                  std::bit_cast<std::uint64_t>(expected[0]));
+      }
+
+      const optim::ObjectiveFn objective =
+          instance->objective(spec, kStreamSeed);
+      const ScopedThreadCount threads(4);
+      for (int round = 0; round < 3; ++round) {
+        std::vector<double> values(points.size());
+        parallel_for(points.size(),
+                     [&](std::size_t k) { values[k] = objective(points[k]); });
+        for (std::size_t k = 0; k < points.size(); ++k) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(values[k]),
+                    std::bit_cast<std::uint64_t>(expected[k]))
+              << "qubits " << instance->num_qubits() << " sampled " << sampled
+              << " round " << round << " point " << k;
+        }
+      }
     }
+
+    // SeedPolicy::kStream: concurrent calls take whole blocks of the one
+    // stream in lock order, so on one point they produce the sequential
+    // values in some order.
+    const core::EvalSpec stream_spec = core::EvalSpec::sampled_with(256, 0, 2);
+    const optim::ObjectiveFn sequential =
+        instance->objective(stream_spec, kStreamSeed);
+    std::vector<double> expected(points.size());
+    for (double& value : expected) value = sequential(points[0]);
+    const optim::ObjectiveFn shared =
+        instance->objective(stream_spec, kStreamSeed);
+    std::vector<double> values(points.size());
+    {
+      const ScopedThreadCount threads(4);
+      parallel_for(points.size(),
+                   [&](std::size_t k) { values[k] = shared(points[0]); });
+    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(values.begin(), values.end());
+    EXPECT_EQ(values, expected) << "qubits " << instance->num_qubits();
   }
-  quantum::Statevector workspace(3);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                -instance.expectation_using(workspace, points[0])),
-            std::bit_cast<std::uint64_t>(expected[0]));
-  EXPECT_EQ(workspace.num_qubits(), 9);
 }
 
 TEST(IsingQaoa, AnsatzSkipsZeroFields) {

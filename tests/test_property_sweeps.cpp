@@ -87,7 +87,7 @@ TEST_P(GraphFamilySweep, ExpectationBoundedByExactOptimum) {
   Rng rng(0x77);
   for (int trial = 0; trial < 10; ++trial) {
     const double e = instance.expectation(core::random_angles(2, rng));
-    EXPECT_LE(e, instance.max_cut_value() + 1e-9) << c.name;
+    EXPECT_LE(e, instance.max_value() + 1e-9) << c.name;
     EXPECT_GE(e, 0.0) << c.name;
   }
 }

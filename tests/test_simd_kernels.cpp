@@ -7,8 +7,8 @@
 //  - primitive level: every KernelTable entry of every supported vector
 //    tier against the scalar table, on lengths that exercise the vector
 //    body, the 256-bit step and the scalar remainder lanes;
-//  - state level: MaxCutQaoa::state_into and IsingQaoa::state under
-//    each forced tier against the scalar tier (== on doubles), and
+//  - state level: MaxCutQaoa::state_into and an Ising DiagonalQaoa's
+//    state under each forced tier against the scalar tier (== on doubles), and
 //    against the test-side gate-by-gate simulation (tests/support) to
 //    1e-12, across qubit counts and depths;
 //  - scheduling level: bit-determinism across thread counts and the
@@ -31,9 +31,9 @@
 #include "common/rng.hpp"
 #include "core/angles.hpp"
 #include "core/batch_evaluator.hpp"
-#include "core/ising_qaoa.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
+#include "ising/diagonal_hamiltonian.hpp"
 #include "ising/ising_model.hpp"
 #include "quantum/aligned.hpp"
 #include "quantum/dispatch.hpp"
@@ -484,8 +484,8 @@ TEST(SimdQaoa, DispatchedStateBitIdenticalToScalarAcrossQubitsAndDepths) {
 TEST(SimdQaoa, DispatchedStateBitIdenticalToScalarOnWeightedGraphs) {
   // Random weights force the general (cos/sin per amplitude) phase
   // branch instead of the integral phase table.  The last input is a
-  // weighted Ising model with nonzero fields, prepared by IsingQaoa on
-  // the same fused layer.
+  // weighted Ising model with nonzero fields, prepared by DiagonalQaoa
+  // on the same fused layer.
   const std::vector<SimdTier> tiers = supported_vector_tiers();
   if (tiers.empty()) GTEST_SKIP() << "no vector tier on this CPU";
   Rng rng(0xAB1E);
@@ -521,7 +521,8 @@ TEST(SimdQaoa, DispatchedStateBitIdenticalToScalarOnWeightedGraphs) {
     model.set_field(i, rng.uniform(-1.0, 1.0));
     model.add_coupling(i, (i + 3) % 11, rng.uniform(-1.5, 1.5));
   }
-  const core::IsingQaoa ising_instance(model, 3);
+  const core::DiagonalQaoa ising_instance(
+      ising::DiagonalHamiltonian::from_ising(model), 3);
   const std::vector<double> params = core::random_angles(3, rng);
   Statevector scalar_state = Statevector::uniform(1);
   {
