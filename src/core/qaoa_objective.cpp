@@ -1,6 +1,8 @@
 #include "core/qaoa_objective.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -37,25 +39,37 @@ DiagonalQaoa::DiagonalQaoa(ising::DiagonalHamiltonian hamiltonian, int depth,
     : hamiltonian_(std::move(hamiltonian)), depth_(depth) {
   require(depth >= 1, "DiagonalQaoa: depth must be >= 1");
 
-  // One blocked sweep finds the maximum and, for the power table, writes
-  // the integer copy.  A block stops writing at its first non-integral
-  // entry, and any such block turns the table off.  Each block keeps its
-  // first maximal entry and the blocks reduce in order, so max_value_ is
-  // the entry std::max_element would return.
+  // One blocked sweep finds the maximum, checks the flip symmetry
+  // d(z) == d(~z) bit for bit (not ==: +0.0 and -0.0 give different
+  // phase bits) and, for the power table, writes the integer copy of the
+  // lower half.  A block stops checking at its first asymmetric pair and
+  // stops writing at its first non-integral entry, and any such block
+  // turns the half state or the table off.  Each block keeps its first
+  // maximal entry and the blocks reduce in order, so max_value_ is the
+  // entry std::max_element would return.
   struct Partial {
     double max;
     int max_int;
     bool integral;
+    bool symmetric;
   };
   const std::vector<double>& diag = hamiltonian_.diagonal();
+  const std::size_t dim = diag.size();
+  const std::size_t half = dim / 2;
   std::vector<Partial> partials(
-      (diag.size() + kParallelGrain - 1) / kParallelGrain,
-      Partial{-std::numeric_limits<double>::infinity(), 0, power_table});
-  if (power_table) int_diagonal_.resize(diag.size());
-  parallel_for_range(diag.size(), [&](std::size_t begin, std::size_t end) {
+      (dim + kParallelGrain - 1) / kParallelGrain,
+      Partial{-std::numeric_limits<double>::infinity(), 0, power_table,
+              num_qubits() >= 2});
+  if (power_table) int_diagonal_.resize(half);
+  parallel_for_range(dim, [&](std::size_t begin, std::size_t end) {
     Partial& part = partials[begin / kParallelGrain];
     for (std::size_t z = begin; z < end; ++z) {
       if (diag[z] > part.max) part.max = diag[z];
+      if (part.symmetric && z < half &&
+          std::bit_cast<std::uint64_t>(diag[z]) !=
+              std::bit_cast<std::uint64_t>(diag[dim - 1 - z])) {
+        part.symmetric = false;
+      }
       if (!part.integral) continue;
       const double rounded = std::round(diag[z]);
       if (std::abs(diag[z] - rounded) > 1e-9 || rounded < 0.0 ||
@@ -63,18 +77,21 @@ DiagonalQaoa::DiagonalQaoa(ising::DiagonalHamiltonian hamiltonian, int depth,
         part.integral = false;
         continue;
       }
-      int_diagonal_[z] = static_cast<int>(rounded);
-      part.max_int = std::max(part.max_int, int_diagonal_[z]);
+      const int value = static_cast<int>(rounded);
+      if (z < half) int_diagonal_[z] = value;
+      part.max_int = std::max(part.max_int, value);
     }
   });
   bool integral = true;
+  symmetric_ = true;
   max_value_ = partials.front().max;
   for (const Partial& part : partials) {
     if (part.max > max_value_) max_value_ = part.max;
     max_int_value_ = std::max(max_int_value_, part.max_int);
     integral = integral && part.integral;
+    symmetric_ = symmetric_ && part.symmetric;
   }
-  if (!integral) std::vector<int>().swap(int_diagonal_);
+  if (!integral || !symmetric_) std::vector<int>().swap(int_diagonal_);
 }
 
 std::size_t DiagonalQaoa::num_parameters() const { return num_angles(depth_); }
@@ -92,7 +109,11 @@ quantum::Statevector DiagonalQaoa::state(
   return sv;
 }
 
-void DiagonalQaoa::state_into(quantum::Statevector& sv,
+std::span<const double> DiagonalQaoa::half_diagonal() const {
+  return {hamiltonian_.diagonal().data(), hamiltonian_.dimension() / 2};
+}
+
+void DiagonalQaoa::build_into(quantum::Statevector& sv,
                               std::span<const double> params) const {
   require(params.size() == num_parameters(),
           "DiagonalQaoa::state_into: wrong parameter count");
@@ -107,8 +128,12 @@ void DiagonalQaoa::state_into(quantum::Statevector& sv,
     // int_diagonal_ entries are in [0, max_int_value_] by construction,
     // so the power-table layer skips the per-call entry-range scan.
     if (has_integer_spectrum()) {
-      sv.apply_qaoa_layer_integral(int_diagonal_, gamma, max_int_value_, beta,
-                                   /*entries_prevalidated=*/true, kernels,
+      sv.apply_qaoa_layer_integral_mirrored(int_diagonal_, gamma,
+                                            max_int_value_, beta,
+                                            /*entries_prevalidated=*/true,
+                                            kernels, first);
+    } else if (symmetric_) {
+      sv.apply_qaoa_layer_mirrored(half_diagonal(), gamma, beta, kernels,
                                    first);
     } else {
       sv.apply_qaoa_layer(hamiltonian_.diagonal(), gamma, beta, kernels,
@@ -117,14 +142,25 @@ void DiagonalQaoa::state_into(quantum::Statevector& sv,
   }
 }
 
+void DiagonalQaoa::state_into(quantum::Statevector& sv,
+                              std::span<const double> params) const {
+  build_into(sv, params);
+  if (symmetric_) sv.expand_mirror();
+}
+
 double DiagonalQaoa::expectation(std::span<const double> params) const {
-  return state(params).expectation_diagonal(hamiltonian_.diagonal());
+  require(params.size() == num_parameters(),
+          "DiagonalQaoa::expectation: wrong parameter count");
+  quantum::Statevector workspace(num_qubits());
+  return expectation_using(workspace, params);
 }
 
 double DiagonalQaoa::expectation_using(quantum::Statevector& workspace,
                                        std::span<const double> params) const {
-  state_into(workspace, params);
-  return workspace.expectation_diagonal(hamiltonian_.diagonal());
+  build_into(workspace, params);
+  return symmetric_
+             ? workspace.expectation_diagonal_mirrored(half_diagonal())
+             : workspace.expectation_diagonal(hamiltonian_.diagonal());
 }
 
 double DiagonalQaoa::sampled_expectation(std::span<const double> params,

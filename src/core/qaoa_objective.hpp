@@ -12,12 +12,18 @@
 //
 // One evaluation path: each stage is one fused layer, a few blocked
 // sweeps via Statevector::apply_qaoa_layer* (see
-// quantum/fused_kernels.hpp).  The MaxCut cost of an unweighted graph
-// has an integral spectrum, so its phase separator collapses to a
-// precomputed power table (exp(-i gamma)^C(z)); every other diagonal,
-// an integral Ising one included, takes the general layer.  The tests
-// check both against an unfused layer sequence and a gate-by-gate
-// CNOT/RZ/RX ansatz simulation (tests/support).
+// quantum/fused_kernels.hpp).  When the diagonal is invariant under the
+// global bit flip, d(z) == d(~z) bit for bit (every MaxCut cost; an
+// Ising model with fields is not), the state is too, and the layers and
+// the <C> read run on the Z2-symmetric half state: 2^(n-1) stored
+// amplitudes, bit-identical to the full schedule.  The constructor's
+// sweep detects this; no setting chooses it.  The MaxCut cost of an
+// unweighted graph has an integral spectrum, so its phase separator
+// collapses to a precomputed power table (exp(-i gamma)^C(z)) over the
+// lower half; every other diagonal, an integral Ising one included,
+// takes the general layer.  The tests check all of them against an
+// unfused layer sequence and a gate-by-gate CNOT/RZ/RX ansatz
+// simulation (tests/support).
 #ifndef QAOAML_CORE_QAOA_OBJECTIVE_HPP
 #define QAOAML_CORE_QAOA_OBJECTIVE_HPP
 
@@ -55,12 +61,17 @@ class DiagonalQaoa {
   /// cost whose every cut value is an integer (unweighted graphs).
   bool has_integer_spectrum() const { return !int_diagonal_.empty(); }
 
+  /// True when n >= 2 and d(z) == d(~z) bit for bit for every z, so the
+  /// evaluations run on the Z2-symmetric half state.
+  bool is_flip_symmetric() const { return symmetric_; }
+
   /// |psi(gamma, beta)>.
   quantum::Statevector state(std::span<const double> params) const;
 
   /// |psi(gamma, beta)> written into `workspace`, reusing its
-  /// amplitude buffer (no allocation when the dimension matches).  This
-  /// is the batch-evaluation hot path.
+  /// amplitude buffer (no allocation when the dimension matches).  A
+  /// symmetric instance builds the half state, then copies its mirror
+  /// into the upper half, so the result is always the full state.
   void state_into(quantum::Statevector& workspace,
                   std::span<const double> params) const;
 
@@ -68,7 +79,9 @@ class DiagonalQaoa {
   double expectation(std::span<const double> params) const;
 
   /// <C> evaluated in `workspace` — identical value to expectation(),
-  /// without the per-call 2^n allocation.
+  /// without the per-call 2^n allocation.  This is the evaluation hot
+  /// path: a symmetric instance reads only the half state, which leaves
+  /// the upper half of `workspace` unspecified (state_into fills it).
   double expectation_using(quantum::Statevector& workspace,
                            std::span<const double> params) const;
 
@@ -108,16 +121,25 @@ class DiagonalQaoa {
                                std::uint64_t stream_seed = 0) const;
 
  protected:
-  /// With `power_table`, an integral diagonal with entries in [0, 1e6]
-  /// takes the power-table phase separator.
+  /// With `power_table`, a flip-symmetric integral diagonal with
+  /// entries in [0, 1e6] takes the power-table phase separator.
   DiagonalQaoa(ising::DiagonalHamiltonian hamiltonian, int depth,
                bool power_table);
 
  private:
+  /// The layers of |psi>: the half state when symmetric_ (the upper half
+  /// of `sv` is then stale), else the full state.
+  void build_into(quantum::Statevector& sv,
+                  std::span<const double> params) const;
+  /// d(z) for z < 2^(n-1).
+  std::span<const double> half_diagonal() const;
+
   ising::DiagonalHamiltonian hamiltonian_;
   int depth_;
   double max_value_ = 0.0;
-  std::vector<int> int_diagonal_;  // empty unless the power table is on
+  bool symmetric_ = false;
+  // d(z) for z < 2^(n-1) as integers; empty unless the power table is on.
+  std::vector<int> int_diagonal_;
   int max_int_value_ = 0;
 };
 

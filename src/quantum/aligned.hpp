@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
 
 namespace qaoaml::quantum {
 
@@ -22,8 +23,12 @@ inline constexpr std::size_t kAmplitudeAlignment = 64;
 
 /// Minimal C++17 aligned allocator: std::allocator semantics with every
 /// allocation aligned to `Alignment` bytes via the over-aligned operator
-/// new.  All instances compare equal (stateless), so containers can
-/// exchange storage freely.
+/// new, except that elements made without a value (a sized construction
+/// or resize()) are left uninitialized.  Every amplitude buffer is
+/// written by whatever sizes it, and a value-initialization there would
+/// page-fault the whole buffer serially, on one thread, before the
+/// parallel pass that writes it.  All instances compare equal
+/// (stateless), so containers can exchange storage freely.
 template <typename T, std::size_t Alignment>
 class AlignedAllocator {
   static_assert((Alignment & (Alignment - 1)) == 0,
@@ -51,6 +56,15 @@ class AlignedAllocator {
 
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t{Alignment});
+  }
+
+  /// Leaves the element uninitialized (see above); constructions with
+  /// arguments take the default placement-new path.
+  template <typename U>
+  void construct(U*) noexcept {
+    static_assert(std::is_trivially_copyable_v<U> &&
+                      std::is_trivially_destructible_v<U>,
+                  "only trivially copyable elements may stay uninitialized");
   }
 
  private:

@@ -34,12 +34,36 @@
 // state build) writes 2^(-n/2) into each sub-tile just before its phase,
 // so the state is not filled in a pass of its own.
 //
+// Z2-symmetric half state (Storage::kMirrorHalf).  When the diagonal is
+// invariant under the global bit flip, d(z) == d(~z) bit for bit with
+// ~z = z ^ (2^n - 1) (every MaxCut cost is), the uniform start and
+// every RX level commute with the flip, so a(z) == a(~z) exactly all
+// through the circuit (Shaydulin et al., arXiv:2012.04713).  A half
+// layer then stores only the 2^(n-1) amplitudes with the top bit clear:
+//  - the phase and levels 0..n-2 run on the m = n-1 stored qubits
+//    exactly as on a full m-qubit state (pass A, and pass B above
+//    kL2Qubits stored qubits);
+//  - level n-1 pairs z with z | 2^(n-1), which is stored as its mirror
+//    M - z (M = 2^(n-1) - 1): the mirror butterfly
+//    rx_butterfly(a[z], a[M - z]).  rx_butterfly is symmetric in its
+//    two arguments, so the mirror's new value is the upper partner's,
+//    bit for bit.  Pass B pairs column tile k with column tile K-1-k
+//    (row r with row R-1-r, read reversed) in one task and runs the
+//    mirror level after both columns' high levels; without a pass B it
+//    runs right after the single pass-A tile (for the paper's n = 8,
+//    right after mix_tile over the 7 stored qubits).
+// Every amplitude sees the same ops in the same order as in the full
+// schedule, so the stored half is bit-identical to the lower half of
+// the full state, and its mirror to the upper half.  A half layer reads
+// and writes only the first 2^(n-1) entries of `amps` and `diag`.
+//
 // Passes over the state per layer: 1 for n <= kL2Qubits, 2 above —
-// instead of n + 1 gate passes.  Tile shapes follow n and the thread
-// count only (no setting chooses them): each pass keeps at least as many
-// tiles as threads where the state is big enough, so mid-size states
-// still spread over the pool.  For n <= kBlockQubits (the paper's n = 8)
-// a layer is one sub-tile: phase plus mix_tile, inline on the caller.
+// instead of n + 1 gate passes (a half state counts its stored qubits).
+// Tile shapes follow n and the thread count only (no setting chooses
+// them): each pass keeps at least as many tiles as threads where the
+// state is big enough, so mid-size states still spread over the pool.
+// For n <= kBlockQubits (the paper's n = 8) a layer is one sub-tile:
+// phase plus mix_tile, inline on the caller.
 //
 // The contiguous inner loops of every pass run through the runtime-
 // dispatched SIMD kernel table (quantum/simd_kernels.hpp): explicit
@@ -73,13 +97,19 @@ inline constexpr int kL2Qubits = 16;
 /// (the buffer's previous contents are never read).
 enum class LayerInput { kState, kUniform };
 
+/// Which amplitudes a layer holds: all 2^n, or the 2^(n-1) with the top
+/// bit clear of a Z2-symmetric state (n >= 2; see above).
+enum class Storage { kFull, kMirrorHalf };
+
 /// Fused layer over a general diagonal: amps[z] *= exp(-i*gamma*diag[z]),
 /// then RX(beta) on every qubit.  `amps` and `diag` hold 2^num_qubits
-/// entries; the arrays must not alias.  Every pass runs on `kernels`.
+/// entries (2^(num_qubits-1) for a half layer); the arrays must not
+/// alias.  Every pass runs on `kernels`.
 void apply_layer(Complex* amps, int num_qubits, const double* diag,
                  double gamma, double beta, int threads,
                  const simd::KernelTable& kernels,
-                 LayerInput input = LayerInput::kState);
+                 LayerInput input = LayerInput::kState,
+                 Storage storage = Storage::kFull);
 
 /// Fused layer over an integer diagonal with a precomputed phase table:
 /// amps[z] *= phases[diag[z]], then RX(beta) on every qubit.  Every
@@ -87,20 +117,23 @@ void apply_layer(Complex* amps, int num_qubits, const double* diag,
 void apply_layer_integral(Complex* amps, int num_qubits, const int* diag,
                           const Complex* phases, double beta, int threads,
                           const simd::KernelTable& kernels,
-                          LayerInput input = LayerInput::kState);
+                          LayerInput input = LayerInput::kState,
+                          Storage storage = Storage::kFull);
 
 namespace detail {
 
 /// apply_layer_integral with the sub-tile and tile sizes given
 /// explicitly (2^l1_qubits and 2^l2_qubits amplitudes, 1 <= l1_qubits
 /// <= l2_qubits) instead of kBlockQubits and kL2Qubits.  Test-only: it
-/// lets small states exercise both passes and a leftover single level.
+/// lets small states exercise both passes, a leftover single level and,
+/// in half storage, the pass-B column pairing.
 void apply_layer_integral_tiled(Complex* amps, int num_qubits,
                                 const int* diag, const Complex* phases,
                                 double beta, int threads,
                                 const simd::KernelTable& kernels,
                                 int l1_qubits, int l2_qubits,
-                                LayerInput input);
+                                LayerInput input,
+                                Storage storage = Storage::kFull);
 
 }  // namespace detail
 

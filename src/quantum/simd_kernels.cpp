@@ -90,34 +90,45 @@ void scalar_butterfly_quad(Complex* p0, Complex* p1, Complex* p2, Complex* p3,
   }
 }
 
+/// The mirror level of a half state: row p1 is read reversed.
+void scalar_butterfly_mirror(Complex* p0, Complex* p1, std::size_t len,
+                             double c, double s) {
+  for (std::size_t j = 0; j < len; ++j) {
+    rx_butterfly(p0[j], p1[len - 1 - j], c, s);
+  }
+}
+
+/// One term of the <C> reduction: |amp|^2 * d.
+inline double expectation_term(const Complex& amp, double d) {
+  const double ar = amp.real();
+  const double ai = amp.imag();
+  return (ar * ar + ai * ai) * d;
+}
+
 /// The canonical 8-lane reduction (simd_kernels.hpp header comment).
-/// The vector tiers spill their accumulators into the same `lane` shape
-/// before the tail and the final combine, so all tiers share these
-/// exact lines.
-double scalar_expectation_block(const Complex* amps, const double* diag,
-                                std::size_t count) {
-  double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  std::size_t k = 0;
-  for (; k + 8 <= count; k += 8) {
-    for (int j = 0; j < 8; ++j) {
-      const double ar = amps[k + j].real();
-      const double ai = amps[k + j].imag();
-      lane[j] += (ar * ar + ai * ai) * diag[k + j];
-    }
+/// The vector tiers run their tails through these same lines.
+void scalar_expectation_lanes(double* lane, const Complex* amps,
+                              const double* diag, std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) {
+    lane[k % 8] += expectation_term(amps[k], diag[k]);
   }
-  for (int j = 0; k + static_cast<std::size_t>(j) < count; ++j) {
-    const double ar = amps[k + j].real();
-    const double ai = amps[k + j].imag();
-    lane[j] += (ar * ar + ai * ai) * diag[k + j];
+}
+
+void scalar_expectation_lanes_reversed(double* lane, const Complex* amps,
+                                       const double* diag,
+                                       std::size_t count) {
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t e = count - 1 - k;
+    lane[k % 8] += expectation_term(amps[e], diag[e]);
   }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
 constexpr KernelTable scalar_table = {
-    SimdTier::kScalar,    scalar_phase_general,  scalar_phase_integral,
-    scalar_mix_tile,      scalar_butterfly_pair, scalar_butterfly_quad,
-    scalar_expectation_block,
+    SimdTier::kScalar,       scalar_phase_general,
+    scalar_phase_integral,   scalar_mix_tile,
+    scalar_butterfly_pair,   scalar_butterfly_quad,
+    scalar_butterfly_mirror, scalar_expectation_lanes,
+    scalar_expectation_lanes_reversed,
 };
 
 #if QAOAML_SIMD_X86
@@ -353,50 +364,122 @@ __attribute__((target("avx2"))) void avx2_mix_tile(Complex* tile, int m,
   }
 }
 
-__attribute__((target("avx2"))) double avx2_expectation_block(
-    const Complex* amps, const double* diag, std::size_t count) {
-  const double* a = reinterpret_cast<const double*>(amps);
-  __m256d acc_lo = _mm256_setzero_pd();  // offset series [0, 2, 1, 3]
-  __m256d acc_hi = _mm256_setzero_pd();  // offset series [4, 6, 5, 7]
-  std::size_t k = 0;
-  for (; k + 8 <= count; k += 8) {
-    const __m256d a01 = _mm256_loadu_pd(a + 2 * k);
-    const __m256d a23 = _mm256_loadu_pd(a + 2 * k + 4);
-    const __m256d a45 = _mm256_loadu_pd(a + 2 * k + 8);
-    const __m256d a67 = _mm256_loadu_pd(a + 2 * k + 12);
-    // hadd([ar0^2, ai0^2, ar1^2, ai1^2], [ar2^2, ...]) = [n0, n2, n1,
-    // n3]; permuting the diagonal into the same order (imm 0xD8 selects
-    // [d0, d2, d1, d3]) keeps term z multiplied by diag[z].
-    const __m256d n0213 = _mm256_hadd_pd(_mm256_mul_pd(a01, a01),
-                                         _mm256_mul_pd(a23, a23));
-    const __m256d n4657 = _mm256_hadd_pd(_mm256_mul_pd(a45, a45),
-                                         _mm256_mul_pd(a67, a67));
-    const __m256d d0213 =
-        _mm256_permute4x64_pd(_mm256_loadu_pd(diag + k), 0xD8);
-    const __m256d d4657 =
-        _mm256_permute4x64_pd(_mm256_loadu_pd(diag + k + 4), 0xD8);
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(n0213, d0213));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(n4657, d4657));
+/// [x0, x1, x2, x3] -> [x2, x3, x0, x1]: the two amplitudes of a
+/// register in reverse order.
+__attribute__((target("avx2"))) inline __m256d avx2_reverse_amps(__m256d x) {
+  return _mm256_permute4x64_pd(x, 0x4E);
+}
+
+__attribute__((target("avx2"))) void avx2_butterfly_mirror(Complex* p0,
+                                                           Complex* p1,
+                                                           std::size_t len,
+                                                           double c,
+                                                           double s) {
+  const __m256d c_vec = _mm256_set1_pd(c);
+  const __m256d s_alt = _mm256_setr_pd(s, -s, s, -s);
+  double* r0 = reinterpret_cast<double*>(p0);
+  double* r1 = reinterpret_cast<double*>(p1);
+  std::size_t j = 0;
+  for (; j + 2 <= len; j += 2) {
+    // p1[len-1-j], p1[len-2-j]: the partners of p0[j], p0[j+1].
+    double* q = r1 + 2 * (len - 2 - j);
+    __m256d v0 = _mm256_loadu_pd(r0 + 2 * j);
+    __m256d v1 = avx2_reverse_amps(_mm256_loadu_pd(q));
+    avx2_radix2(v0, v1, c_vec, s_alt);
+    _mm256_storeu_pd(r0 + 2 * j, v0);
+    _mm256_storeu_pd(q, avx2_reverse_amps(v1));
   }
-  // Spill into canonical lane order (see the offset series above), then
-  // run the scalar tail + combine — the same lines as the scalar tier.
+  for (; j < len; ++j) rx_butterfly(p0[j], p1[len - 1 - j], c, s);
+}
+
+/// The canonical lanes of eight terms n0..n7 (norms) times d0..d7 are
+/// kept as acc_lo = lanes [0, 2, 1, 3] and acc_hi = lanes [4, 6, 5, 7],
+/// the order _mm256_hadd_pd leaves the norms in.
+__attribute__((target("avx2"))) inline void avx2_expectation_step(
+    __m256d a01, __m256d a23, __m256d a45, __m256d a67, __m256d d0123,
+    __m256d d4567, __m256d& acc_lo, __m256d& acc_hi) {
+  // hadd([ar0^2, ai0^2, ar1^2, ai1^2], [ar2^2, ...]) = [n0, n2, n1, n3];
+  // permuting the diagonal into the same order (imm 0xD8 selects
+  // [d0, d2, d1, d3]) keeps term z multiplied by diag[z].
+  const __m256d n0213 =
+      _mm256_hadd_pd(_mm256_mul_pd(a01, a01), _mm256_mul_pd(a23, a23));
+  const __m256d n4657 =
+      _mm256_hadd_pd(_mm256_mul_pd(a45, a45), _mm256_mul_pd(a67, a67));
+  const __m256d d0213 = _mm256_permute4x64_pd(d0123, 0xD8);
+  const __m256d d4657 = _mm256_permute4x64_pd(d4567, 0xD8);
+  acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(n0213, d0213));
+  acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(n4657, d4657));
+}
+
+/// Lanes [0..8) into avx2_expectation_step's register order, and back.
+__attribute__((target("avx2"))) inline void avx2_load_lanes(
+    const double* lane, __m256d& acc_lo, __m256d& acc_hi) {
+  acc_lo = _mm256_setr_pd(lane[0], lane[2], lane[1], lane[3]);
+  acc_hi = _mm256_setr_pd(lane[4], lane[6], lane[5], lane[7]);
+}
+
+__attribute__((target("avx2"))) inline void avx2_store_lanes(
+    double* lane, __m256d acc_lo, __m256d acc_hi) {
   double lo[4], hi[4];
   _mm256_storeu_pd(lo, acc_lo);
   _mm256_storeu_pd(hi, acc_hi);
-  double lane[8] = {lo[0], lo[2], lo[1], lo[3], hi[0], hi[2], hi[1], hi[3]};
-  for (int j = 0; k + static_cast<std::size_t>(j) < count; ++j) {
-    const double ar = amps[k + j].real();
-    const double ai = amps[k + j].imag();
-    lane[j] += (ar * ar + ai * ai) * diag[k + j];
+  lane[0] = lo[0], lane[2] = lo[1], lane[1] = lo[2], lane[3] = lo[3];
+  lane[4] = hi[0], lane[6] = hi[1], lane[5] = hi[2], lane[7] = hi[3];
+}
+
+__attribute__((target("avx2"))) void avx2_expectation_lanes(
+    double* lane, const Complex* amps, const double* diag, std::size_t count) {
+  const double* a = reinterpret_cast<const double*>(amps);
+  std::size_t k = 0;
+  if (count >= 8) {
+    __m256d acc_lo, acc_hi;
+    avx2_load_lanes(lane, acc_lo, acc_hi);
+    for (; k + 8 <= count; k += 8) {
+      avx2_expectation_step(
+          _mm256_loadu_pd(a + 2 * k), _mm256_loadu_pd(a + 2 * k + 4),
+          _mm256_loadu_pd(a + 2 * k + 8), _mm256_loadu_pd(a + 2 * k + 12),
+          _mm256_loadu_pd(diag + k), _mm256_loadu_pd(diag + k + 4), acc_lo,
+          acc_hi);
+    }
+    avx2_store_lanes(lane, acc_lo, acc_hi);
   }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+  // k is a multiple of 8, so term k + j still lands in lane j % 8.
+  scalar_expectation_lanes(lane, amps + k, diag + k, count - k);
+}
+
+__attribute__((target("avx2"))) void avx2_expectation_lanes_reversed(
+    double* lane, const Complex* amps, const double* diag, std::size_t count) {
+  const double* a = reinterpret_cast<const double*>(amps);
+  std::size_t k = 0;
+  if (count >= 8) {
+    __m256d acc_lo, acc_hi;
+    avx2_load_lanes(lane, acc_lo, acc_hi);
+    for (; k + 8 <= count; k += 8) {
+      // Terms k..k+7 are the elements base+7 down to base: the forward
+      // step on the group with its amplitudes and its diagonal reversed
+      // (imm 0x1B reverses four doubles).
+      const std::size_t base = count - 8 - k;
+      avx2_expectation_step(
+          avx2_reverse_amps(_mm256_loadu_pd(a + 2 * base + 12)),
+          avx2_reverse_amps(_mm256_loadu_pd(a + 2 * base + 8)),
+          avx2_reverse_amps(_mm256_loadu_pd(a + 2 * base + 4)),
+          avx2_reverse_amps(_mm256_loadu_pd(a + 2 * base)),
+          _mm256_permute4x64_pd(_mm256_loadu_pd(diag + base + 4), 0x1B),
+          _mm256_permute4x64_pd(_mm256_loadu_pd(diag + base), 0x1B), acc_lo,
+          acc_hi);
+    }
+    avx2_store_lanes(lane, acc_lo, acc_hi);
+  }
+  // The remaining terms read elements count-k-1 down to 0.
+  scalar_expectation_lanes_reversed(lane, amps, diag, count - k);
 }
 
 const KernelTable avx2_table = {
-    SimdTier::kAvx2,    avx2_phase_general,  avx2_phase_integral,
-    avx2_mix_tile,      avx2_butterfly_pair, avx2_butterfly_quad,
-    avx2_expectation_block,
+    SimdTier::kAvx2,       avx2_phase_general,
+    avx2_phase_integral,   avx2_mix_tile,
+    avx2_butterfly_pair,   avx2_butterfly_quad,
+    avx2_butterfly_mirror, avx2_expectation_lanes,
+    avx2_expectation_lanes_reversed,
 };
 
 // ---------------------------------------------------------------------------
@@ -573,6 +656,28 @@ __attribute__((QAOAML_AVX512_TARGET)) void avx512_butterfly_quad(
   }
 }
 
+__attribute__((QAOAML_AVX512_TARGET)) void avx512_butterfly_mirror(
+    Complex* p0, Complex* p1, std::size_t len, double c, double s) {
+  const __m512d c512 = _mm512_set1_pd(c);
+  const __m512d s_alt = avx512_signed_sine(s);
+  double* r0 = reinterpret_cast<double*>(p0);
+  double* r1 = reinterpret_cast<double*>(p1);
+  std::size_t j = 0;
+  for (; j + 4 <= len; j += 4) {
+    // p1[len-1-j] .. p1[len-4-j], the partners of p0[j] .. p0[j+3]; imm
+    // 0x1B reverses the four 128-bit amplitudes.
+    double* q = r1 + 2 * (len - 4 - j);
+    __m512d v0 = _mm512_loadu_pd(r0 + 2 * j);
+    const __m512d w = _mm512_loadu_pd(q);
+    __m512d v1 = _mm512_shuffle_f64x2(w, w, 0x1B);
+    avx512_radix2(v0, v1, c512, s_alt);
+    _mm512_storeu_pd(r0 + 2 * j, v0);
+    _mm512_storeu_pd(q, _mm512_shuffle_f64x2(v1, v1, 0x1B));
+  }
+  // The partner of p0[j + i] is still p1[len-1-j-i].
+  if (j < len) avx2_butterfly_mirror(p0 + j, p1, len - j, c, s);
+}
+
 /// mix_tile over register rows of 4 amplitudes (simd_kernels.hpp); the
 /// row stride of level t >= 2 is 2^(t-2).
 __attribute__((QAOAML_AVX512_TARGET)) void avx512_mix_tile(Complex* tile,
@@ -646,12 +751,14 @@ __attribute__((QAOAML_AVX512_TARGET)) void avx512_mix_tile(Complex* tile,
 }
 
 const KernelTable avx512_table = {
-    SimdTier::kAvx512,    avx512_phase_general,  avx512_phase_integral,
-    avx512_mix_tile,      avx512_butterfly_pair, avx512_butterfly_quad,
+    SimdTier::kAvx512,       avx512_phase_general,
+    avx512_phase_integral,   avx512_mix_tile,
+    avx512_butterfly_pair,   avx512_butterfly_quad,
+    avx512_butterfly_mirror,
     // The AVX2 reduction already realizes the canonical 8-lane tree (one
     // full AVX-512 register of lanes); reusing it keeps one reduction
     // implementation per lane layout instead of a third copy.
-    avx2_expectation_block,
+    avx2_expectation_lanes,  avx2_expectation_lanes_reversed,
 };
 
 #endif  // QAOAML_SIMD_X86

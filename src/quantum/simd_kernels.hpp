@@ -18,14 +18,18 @@
 // with == on doubles, not a tolerance, and what keeps every committed
 // golden fixture valid on every machine.
 //
-// Reduction tree: expectation_block reduces one fixed-size block with
-// EIGHT independent lane accumulators (lane j sums the terms of
-// elements j, j+8, j+16, ... of the block, in index order) combined as
+// Reduction tree: a block's <C> partial runs on EIGHT independent lane
+// accumulators (lane j sums the terms j, j+8, j+16, ... of the block,
+// in index order) combined as
 //   ((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7)).
 // The lane count matches one AVX-512 register (two AVX2 registers,
 // eight scalar accumulators), so all three tiers realize the identical
-// summation tree and the blocked parallel_reduce on top of it stays
-// bit-deterministic for every thread and shard count.
+// summation tree and the blocked reduction on top of it stays
+// bit-deterministic for every thread and shard count.  The lane
+// accumulators are exposed (expectation_lanes) rather than only the
+// combined block sum, so that one block can take its terms from two
+// ranges: the mirror-symmetric half state (quantum/statevector.hpp)
+// sums the upper half of a block by reading the lower half reversed.
 #ifndef QAOAML_QUANTUM_SIMD_KERNELS_HPP
 #define QAOAML_QUANTUM_SIMD_KERNELS_HPP
 
@@ -87,11 +91,41 @@ struct KernelTable {
   void (*butterfly_quad)(Complex* p0, Complex* p1, Complex* p2, Complex* p3,
                          std::size_t len, double c, double s);
 
-  /// Canonical 8-lane tree reduction of sum_z |amps[z]|^2 * diag[z]
-  /// over one block (see the header comment for the exact tree).
-  double (*expectation_block)(const Complex* amps, const double* diag,
-                              std::size_t count);
+  /// The mirror RX level of a Z2-symmetric half state: for j in
+  /// [0, len), (p0[j], p1[len-1-j]) <- butterfly(p0[j], p1[len-1-j]);
+  /// the second row is read and written back reversed.  The rows must
+  /// not overlap.
+  void (*butterfly_mirror)(Complex* p0, Complex* p1, std::size_t len,
+                           double c, double s);
+
+  /// Adds term k = |amps[k]|^2 * diag[k] to lane[k % 8] for k in
+  /// [0, count), in ascending k: one range of a block's canonical
+  /// reduction (combine_lanes finishes it).  Reads and writes exactly
+  /// lane[0 .. min(count, 8)).
+  void (*expectation_lanes)(double* lane, const Complex* amps,
+                            const double* diag, std::size_t count);
+
+  /// The same over the range read backwards: term k is
+  /// |amps[count-1-k]|^2 * diag[count-1-k], added to lane[k % 8] in
+  /// ascending k.  Same lane contract as expectation_lanes.
+  void (*expectation_lanes_reversed)(double* lane, const Complex* amps,
+                                     const double* diag, std::size_t count);
 };
+
+/// The canonical tree over eight lane accumulators.
+inline double combine_lanes(const double* lane) {
+  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+/// One block's canonical reduction of sum_k |amps[k]|^2 * diag[k]:
+/// zeroed lanes, expectation_lanes, combine_lanes.
+inline double expectation_block(const KernelTable& kt, const Complex* amps,
+                                const double* diag, std::size_t count) {
+  double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  kt.expectation_lanes(lane, amps, diag, count);
+  return combine_lanes(lane);
+}
 
 /// The table for `tier`; throws InvalidArgument when this build or CPU
 /// cannot execute it.

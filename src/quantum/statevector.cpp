@@ -33,8 +33,21 @@ void require_qubit_count(int num_qubits) {
 
 Statevector::Statevector(int num_qubits) : num_qubits_(num_qubits) {
   require_qubit_count(num_qubits);
-  amps_.assign(std::size_t{1} << num_qubits, Complex{0.0, 0.0});
+  // resize() leaves the buffer uninitialized (quantum/aligned.hpp), so
+  // its first touch is the blocked parallel fill, not a serial one.
+  amps_.resize(std::size_t{1} << num_qubits);
+  fill(0, amps_.size(), Complex{0.0, 0.0});
   amps_[0] = Complex{1.0, 0.0};
+}
+
+void Statevector::fill(std::size_t begin, std::size_t end, Complex value) {
+  Complex* amps = amps_.data() + begin;
+  parallel_for_range(
+      end - begin,
+      [&](std::size_t lo, std::size_t hi) {
+        std::fill(amps + lo, amps + hi, value);
+      },
+      kernel_threads(amps_.size()));
 }
 
 Statevector Statevector::from_amplitudes(std::vector<Complex> amplitudes) {
@@ -63,15 +76,7 @@ void Statevector::reset_uniform(int num_qubits) {
   num_qubits_ = num_qubits;
   const std::size_t dim = std::size_t{1} << num_qubits;
   if (amps_.size() != dim) amps_.resize(dim);
-  const double amp = 1.0 / std::sqrt(static_cast<double>(dim));
-  parallel_for_range(
-      dim,
-      [&](std::size_t begin, std::size_t end) {
-        std::fill(amps_.begin() + static_cast<std::ptrdiff_t>(begin),
-                  amps_.begin() + static_cast<std::ptrdiff_t>(end),
-                  Complex{amp, 0.0});
-      },
-      kernel_threads(dim));
+  fill(0, dim, Complex{1.0 / std::sqrt(static_cast<double>(dim)), 0.0});
 }
 
 void Statevector::check_qubit(int q) const {
@@ -209,10 +214,11 @@ void Statevector::apply_diagonal_evolution(const std::vector<double>& diag,
 /// table — silent corruption in a fast path, so it is rejected loudly).
 /// The entry scan is O(2^n); hot paths reusing one precomputed diagonal
 /// skip it via scan_entries = false.
-void Statevector::check_integral_diagonal(const std::vector<int>& diag,
+void Statevector::check_integral_diagonal(std::span<const int> diag,
+                                          std::size_t expected_size,
                                           int max_value,
                                           bool scan_entries) const {
-  require(diag.size() == amps_.size(),
+  require(diag.size() == expected_size,
           "Statevector: diagonal length must equal dimension");
   require(max_value >= 0, "Statevector: max_value must be non-negative");
   if (!scan_entries) return;
@@ -248,7 +254,8 @@ static const Complex* integral_phase_table(double angle, int max_value) {
 void Statevector::apply_diagonal_evolution_integral(
     const std::vector<int>& diag, double angle, int max_value,
     bool entries_prevalidated) {
-  check_integral_diagonal(diag, max_value, !entries_prevalidated);
+  check_integral_diagonal(diag, amps_.size(), max_value,
+                          !entries_prevalidated);
   const Complex* phases = integral_phase_table(angle, max_value);
   const std::size_t dim = amps_.size();
   const simd::KernelTable& kt = simd::active_kernels();
@@ -306,12 +313,68 @@ void Statevector::apply_qaoa_layer_integral(
     bool entries_prevalidated, const simd::KernelTable& kernels,
     bool uniform_input) {
   size_for_layer(diag.size(), uniform_input);
-  check_integral_diagonal(diag, max_value, !entries_prevalidated);
+  check_integral_diagonal(diag, amps_.size(), max_value,
+                          !entries_prevalidated);
   fused::apply_layer_integral(amps_.data(), num_qubits_, diag.data(),
                               integral_phase_table(gamma, max_value), beta,
                               kernel_threads(amps_.size()), kernels,
                               uniform_input ? fused::LayerInput::kUniform
                                             : fused::LayerInput::kState);
+}
+
+void Statevector::apply_qaoa_layer_mirrored(std::span<const double> half_diag,
+                                            double gamma, double beta,
+                                            const simd::KernelTable& kernels,
+                                            bool uniform_input) {
+  size_for_mirrored_layer(half_diag.size(), uniform_input);
+  fused::apply_layer(amps_.data(), num_qubits_, half_diag.data(), gamma, beta,
+                     kernel_threads(amps_.size()), kernels,
+                     uniform_input ? fused::LayerInput::kUniform
+                                   : fused::LayerInput::kState,
+                     fused::Storage::kMirrorHalf);
+}
+
+void Statevector::apply_qaoa_layer_integral_mirrored(
+    std::span<const int> half_diag, double gamma, int max_value, double beta,
+    bool entries_prevalidated, const simd::KernelTable& kernels,
+    bool uniform_input) {
+  size_for_mirrored_layer(half_diag.size(), uniform_input);
+  check_integral_diagonal(half_diag, amps_.size() / 2, max_value,
+                          !entries_prevalidated);
+  fused::apply_layer_integral(amps_.data(), num_qubits_, half_diag.data(),
+                              integral_phase_table(gamma, max_value), beta,
+                              kernel_threads(amps_.size()), kernels,
+                              uniform_input ? fused::LayerInput::kUniform
+                                            : fused::LayerInput::kState,
+                              fused::Storage::kMirrorHalf);
+}
+
+/// A half layer needs n >= 2: below that the mirror level would pair an
+/// amplitude with itself.
+void Statevector::size_for_mirrored_layer(std::size_t half_size,
+                                          bool uniform_input) {
+  require(half_size >= 2,
+          "Statevector: a mirrored layer needs at least two qubits");
+  const bool resized = amps_.size() != 2 * half_size;
+  size_for_layer(2 * half_size, uniform_input);
+  // A grown buffer is uninitialized and no half layer writes its upper
+  // half: give it a value until expand_mirror() does.
+  if (resized) fill(half_size, 2 * half_size, Complex{0.0, 0.0});
+}
+
+void Statevector::expand_mirror() {
+  require(num_qubits_ >= 2,
+          "Statevector: a mirrored state needs at least two qubits");
+  const std::size_t dim = amps_.size();
+  Complex* amps = amps_.data();
+  // a(~z) = a(z), and ~z = dim - 1 - z: the upper half is the lower half
+  // reversed.
+  parallel_for_range(
+      dim / 2,
+      [&](std::size_t begin, std::size_t end) {
+        std::reverse_copy(amps + begin, amps + end, amps + (dim - end));
+      },
+      kernel_threads(dim));
 }
 
 void Statevector::apply_hadamard_all() {
@@ -355,10 +418,54 @@ double Statevector::expectation_diagonal(const std::vector<double>& diag) const 
   return parallel_reduce(
       dim, 0.0,
       [&](std::size_t begin, std::size_t end) {
-        return kt.expectation_block(amps_.data() + begin, diag.data() + begin,
-                                    end - begin);
+        return simd::expectation_block(kt, amps_.data() + begin,
+                                       diag.data() + begin, end - begin);
       },
       kernel_threads(dim));
+}
+
+double Statevector::expectation_diagonal_mirrored(
+    std::span<const double> half_diag) const {
+  const std::size_t half = half_diag.size();
+  require(2 * half == amps_.size() && num_qubits_ >= 2,
+          "Statevector: half diagonal length must be half the dimension");
+  const simd::KernelTable& kt = simd::active_kernels();
+  const Complex* amps = amps_.data();
+  const double* diag = half_diag.data();
+  // The blocks, lanes and block order of expectation_diagonal over all
+  // 2^n indices.  The term of an upper index z is that of its mirror
+  // dim-1-z (a and d agree there bit for bit), so an upper block is its
+  // mirror block, a lower one, read reversed.
+  if (2 * half <= kParallelGrain) {
+    // One block: the upper half's term z lands in lane z % 8, which is
+    // (half + k) % 8 for its k-th term; for half >= 8 that is lane k % 8,
+    // below it lane half + k (expectation_lanes touches only the lanes
+    // it fills).
+    double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    kt.expectation_lanes(lane, amps, diag, half);
+    kt.expectation_lanes_reversed(lane + half % 8, amps, diag, half);
+    // parallel_reduce's single-block result: init + block sum.
+    return 0.0 + simd::combine_lanes(lane);
+  }
+  // Lower block b and upper block blocks-1-b read the same memory, so
+  // one task sums both while it is cache-hot; the partials then add in
+  // block order, as parallel_reduce does.
+  const std::size_t blocks = 2 * half / kParallelGrain;
+  std::vector<double> partial(blocks);
+  parallel_for(
+      blocks / 2,
+      [&](std::size_t b) {
+        const Complex* a = amps + b * kParallelGrain;
+        const double* d = diag + b * kParallelGrain;
+        partial[b] = simd::expectation_block(kt, a, d, kParallelGrain);
+        double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+        kt.expectation_lanes_reversed(lane, a, d, kParallelGrain);
+        partial[blocks - 1 - b] = simd::combine_lanes(lane);
+      },
+      kernel_threads(amps_.size()));
+  double acc = 0.0;
+  for (const double p : partial) acc += p;
+  return acc;
 }
 
 double Statevector::expectation_z(int target) const {

@@ -20,6 +20,7 @@
 
 #include <complex>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -141,6 +142,39 @@ class Statevector {
                                  const simd::KernelTable& kernels,
                                  bool uniform_input = false);
 
+  // Z2-symmetric half storage (see quantum/fused_kernels.hpp).  A state
+  // built from the uniform start over a diagonal with d(z) == d(~z) bit
+  // for bit (~z flips all n bits) keeps a(z) == a(~z) exactly.  The
+  // *_mirrored calls hold only the amplitudes with the top bit clear, in
+  // the first half of this n-qubit state's buffer, and read only the
+  // lower half of the diagonal, `half_diag` = d(z) for z < 2^(n-1).  The
+  // upper half of the buffer is not part of the state until
+  // expand_mirror() writes it.  Each result is bit-identical to the
+  // full-state call on the same symmetric diagonal.
+
+  /// apply_qaoa_layer / apply_qaoa_layer_integral on the half state
+  /// (n >= 2).  With `uniform_input` the state takes 2 * half_diag.size()
+  /// amplitudes; otherwise its dimension must be that already.
+  void apply_qaoa_layer_mirrored(std::span<const double> half_diag,
+                                 double gamma, double beta,
+                                 const simd::KernelTable& kernels,
+                                 bool uniform_input = false);
+  void apply_qaoa_layer_integral_mirrored(std::span<const int> half_diag,
+                                          double gamma, int max_value,
+                                          double beta,
+                                          bool entries_prevalidated,
+                                          const simd::KernelTable& kernels,
+                                          bool uniform_input = false);
+
+  /// expectation_diagonal of the whole symmetric state, read from the
+  /// half: the same 2^n-index blocks and lane tree, with each upper
+  /// block summed as its mirror block read reversed.
+  double expectation_diagonal_mirrored(std::span<const double> half_diag) const;
+
+  /// Writes the upper half from the lower one, a(~z) = a(z), so the
+  /// buffer holds the full state.
+  void expand_mirror();
+
   /// Hadamard on every qubit (the QAOA state preparation layer).
   void apply_hadamard_all();
 
@@ -191,7 +225,11 @@ class Statevector {
   Statevector() = default;
   void check_qubit(int q) const;
   void size_for_layer(std::size_t diag_size, bool uniform_input);
-  void check_integral_diagonal(const std::vector<int>& diag, int max_value,
+  void size_for_mirrored_layer(std::size_t half_size, bool uniform_input);
+  /// amps_[begin, end) = value, in blocked parallel ranges.
+  void fill(std::size_t begin, std::size_t end, Complex value);
+  void check_integral_diagonal(std::span<const int> diag,
+                               std::size_t expected_size, int max_value,
                                bool scan_entries) const;
 
   int num_qubits_ = 0;

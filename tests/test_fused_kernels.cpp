@@ -6,22 +6,30 @@
 // (tests/support/qaoa_reference.hpp): the unfused layer (diagonal
 // evolution + one RX gate pass per qubit) and the gate-by-gate ansatz
 // simulation, on randomized graphs, angles, depths and qubit counts.
-// They also check norm preservation, thread-count determinism, and
-// argument validation.
+// They also check norm preservation, thread-count determinism, the
+// Z2-symmetric half state against the full schedule (bit for bit), the
+// closed-form depth-1 oracle at 20 and 22 qubits, and argument
+// validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/angles.hpp"
+#include "core/batch_evaluator.hpp"
 #include "core/qaoa_objective.hpp"
 #include "graph/generators.hpp"
+#include "ising/diagonal_hamiltonian.hpp"
+#include "ising/ising_model.hpp"
+#include "quantum/dispatch.hpp"
 #include "quantum/simd_kernels.hpp"
 #include "quantum/statevector.hpp"
+#include "support/closed_form.hpp"
 #include "support/qaoa_reference.hpp"
 
 namespace qaoaml {
@@ -262,6 +270,184 @@ TEST(FusedLayer, UniformInputMatchesResetThenLayer) {
   EXPECT_THROW(sv.apply_qaoa_layer(std::vector<double>(1, 0.0), 0.3, 0.4,
                                    kernels, /*uniform_input=*/true),
                InvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// Z2-symmetric half state: a symmetric instance's evaluations run on
+// 2^(n-1) stored amplitudes and must give the full schedule's bits.
+// ---------------------------------------------------------------------
+
+/// The full schedule: every layer over the whole diagonal, as before the
+/// half state existed, then <C> over all 2^n amplitudes.
+struct FullBuild {
+  Statevector state{1};
+  double expectation = 0.0;
+};
+
+FullBuild full_schedule(const core::DiagonalQaoa& instance,
+                        std::span<const double> params) {
+  const quantum::simd::KernelTable& kernels = quantum::simd::active_kernels();
+  const std::vector<double>& diag = instance.hamiltonian().diagonal();
+  std::vector<int> int_diag;
+  int max_int = 0;
+  if (instance.has_integer_spectrum()) {
+    for (const double d : diag) {
+      int_diag.push_back(static_cast<int>(std::lround(d)));
+      max_int = std::max(max_int, int_diag.back());
+    }
+  }
+  FullBuild full;
+  const int p = instance.depth();
+  for (int stage = 0; stage < p; ++stage) {
+    const double gamma = params[static_cast<std::size_t>(stage)];
+    const double beta = params[static_cast<std::size_t>(p + stage)];
+    if (instance.has_integer_spectrum()) {
+      full.state.apply_qaoa_layer_integral(int_diag, gamma, max_int, beta,
+                                           false, kernels, stage == 0);
+    } else {
+      full.state.apply_qaoa_layer(diag, gamma, beta, kernels, stage == 0);
+    }
+  }
+  full.expectation = full.state.expectation_diagonal(diag);
+  return full;
+}
+
+TEST(HalfState, BitIdenticalToFullScheduleOnEveryTierAndThreadCount) {
+  // n = 15..20 take the blocked <C> (upper blocks read reversed) and, at
+  // several threads, pass B's column pairing; n <= 3 put the reversed
+  // half of <C>'s single block past the first lanes.
+  Rng rng(0x4A1F);
+  for (int n = 2; n <= 20; ++n) {
+    const graph::Graph unweighted = nonempty_er(n, rng);
+    const graph::Graph weighted =
+        graph::with_random_weights(unweighted, -0.5, 1.5, rng);
+    for (const graph::Graph* g : {&unweighted, &weighted}) {
+      const int p = n % 2 == 0 ? 1 : 3;
+      const core::MaxCutQaoa instance(*g, p);
+      ASSERT_TRUE(instance.is_flip_symmetric()) << "n=" << n;
+      const std::vector<double> params = core::random_angles(p, rng);
+      const std::size_t half = std::size_t{1} << (n - 1);
+      for (const quantum::SimdTier tier :
+           {quantum::SimdTier::kScalar, quantum::SimdTier::kAvx2,
+            quantum::SimdTier::kAvx512}) {
+        if (!quantum::simd_tier_supported(tier)) continue;
+        const quantum::ScopedSimdTier tier_guard(tier);
+        FullBuild full;
+        {
+          const ScopedThreadCount one(1);
+          full = full_schedule(instance, params);
+        }
+        for (const int threads : {1, 2, 3, 8}) {
+          const ScopedThreadCount scoped(threads);
+          Statevector workspace(n);
+          const double value = instance.expectation_using(workspace, params);
+          EXPECT_TRUE(value == full.expectation)
+              << quantum::to_string(tier) << " n=" << n << " p=" << p
+              << " threads=" << threads << " integral="
+              << instance.has_integer_spectrum();
+          std::size_t mismatches = 0;
+          for (std::size_t z = 0; z < half; ++z) {
+            if (workspace.amplitudes()[z] != full.state.amplitudes()[z]) {
+              ++mismatches;
+            }
+          }
+          EXPECT_EQ(mismatches, 0u)
+              << quantum::to_string(tier) << " n=" << n
+              << " threads=" << threads;
+          Statevector expanded(n);
+          instance.state_into(expanded, params);
+          EXPECT_TRUE(expanded.amplitudes() == full.state.amplitudes())
+              << quantum::to_string(tier) << " n=" << n
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(HalfState, DetectsFlipSymmetryFromTheDiagonalBits) {
+  Rng rng(0xD1A6);
+  const graph::Graph g = nonempty_er(6, rng);
+  EXPECT_TRUE(core::MaxCutQaoa(g, 2).is_flip_symmetric());
+  EXPECT_TRUE(core::MaxCutQaoa(graph::with_random_weights(g, -0.5, 1.5, rng), 2)
+                  .is_flip_symmetric());
+
+  // A field breaks the symmetry: the full schedule runs, and still
+  // matches the unfused layers.
+  ising::IsingModel model = ising::IsingModel::from_maxcut(g);
+  model.set_field(2, 0.3);
+  const core::DiagonalQaoa field(ising::DiagonalHamiltonian::from_ising(model),
+                                 2);
+  EXPECT_FALSE(field.is_flip_symmetric());
+  const std::vector<double> params = core::random_angles(2, rng);
+  Statevector expected = Statevector::uniform(6);
+  for (int stage = 0; stage < 2; ++stage) {
+    oracle::apply_unfused_layer(expected, field.hamiltonian().diagonal(),
+                                params[static_cast<std::size_t>(stage)],
+                                params[static_cast<std::size_t>(2 + stage)]);
+  }
+  EXPECT_LE(max_amp_diff(field.state(params), expected), kAmpTol);
+
+  // +0.0 and -0.0 compare equal but give different phase bits.
+  std::vector<double> diag(16);
+  for (std::size_t z = 0; z < 8; ++z) diag[z] = diag[15 - z] = rng.uniform(-1.0, 1.0);
+  diag[3] = 0.0;
+  diag[12] = -0.0;
+  EXPECT_FALSE(core::DiagonalQaoa(ising::DiagonalHamiltonian(diag), 1)
+                   .is_flip_symmetric());
+  diag[12] = 0.0;
+  EXPECT_TRUE(core::DiagonalQaoa(ising::DiagonalHamiltonian(diag), 1)
+                  .is_flip_symmetric());
+
+  // One qubit has no half state (its mirror level would pair an
+  // amplitude with itself).
+  EXPECT_FALSE(core::DiagonalQaoa(ising::DiagonalHamiltonian({1.0, 1.0}), 1)
+                   .is_flip_symmetric());
+}
+
+// ---------------------------------------------------------------------
+// The closed-form depth-1 oracle (tests/support/closed_form.hpp): first
+// its conventions against the statevector at small n, then the real
+// two-pass half schedule at sizes no other oracle reaches.
+// ---------------------------------------------------------------------
+
+TEST(ClosedFormP1, MatchesStatevectorOnSmallGraphs) {
+  Rng rng(0xC105ED);
+  for (int n = 4; n <= 10; ++n) {
+    const graph::Graph unweighted = nonempty_er(n, rng);
+    const graph::Graph weighted =
+        graph::with_random_weights(unweighted, -0.5, 1.5, rng);
+    for (const graph::Graph* g : {&unweighted, &weighted}) {
+      const core::MaxCutQaoa instance(*g, 1);
+      for (int trial = 0; trial < 4; ++trial) {
+        const double gamma = rng.uniform(-M_PI, M_PI);
+        const double beta = rng.uniform(-M_PI, M_PI);
+        const std::vector<double> params = {gamma, beta};
+        EXPECT_NEAR(oracle::maxcut_p1_expectation(*g, gamma, beta),
+                    instance.expectation(params), 1e-12)
+            << "n=" << n << " gamma=" << gamma << " beta=" << beta;
+      }
+    }
+  }
+}
+
+TEST(ClosedFormP1, MatchesTwoPassHalfScheduleAt20And22Qubits) {
+  Rng rng(0x2022);
+  for (const int n : {20, 22}) {
+    const graph::Graph g = graph::erdos_renyi_gnp(n, 0.5, rng);
+    const core::MaxCutQaoa instance(g, 1);
+    ASSERT_TRUE(instance.is_flip_symmetric());
+    core::BatchEvaluator evaluator(instance);
+    for (int trial = 0; trial < 2; ++trial) {
+      const double gamma = rng.uniform(-M_PI, M_PI);
+      const double beta = rng.uniform(-M_PI, M_PI);
+      const std::vector<double> params = {gamma, beta};
+      const double expected = oracle::maxcut_p1_expectation(g, gamma, beta);
+      EXPECT_NEAR(evaluator.expectation(params), expected,
+                  1e-10 * std::abs(expected))
+          << "n=" << n << " gamma=" << gamma << " beta=" << beta;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

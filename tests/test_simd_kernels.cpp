@@ -276,6 +276,33 @@ TEST(SimdKernels, ButterflyPairBitIdenticalToScalarOnAllLengths) {
   }
 }
 
+TEST(SimdKernels, ButterflyMirrorBitIdenticalToScalarOnAllLengths) {
+  const KernelTable& scalar = quantum::simd::kernels(SimdTier::kScalar);
+  for (SimdTier tier : supported_tiers()) {
+    const KernelTable& kt = quantum::simd::kernels(tier);
+    Rng rng(0x3112);
+    const double beta = rng.uniform(-M_PI, M_PI);
+    const double c = std::cos(beta / 2.0);
+    const double s = std::sin(beta / 2.0);
+    for (std::size_t len : kOddLengths) {
+      const std::vector<Complex> row0 = random_amps(len, rng);
+      const std::vector<Complex> row1 = random_amps(len, rng);
+      // The definition: butterfly_pair against the second row reversed.
+      std::vector<Complex> e0 = row0;
+      std::vector<Complex> e1(row1.rbegin(), row1.rend());
+      scalar.butterfly_pair(e0.data(), e1.data(), len, c, s);
+      std::reverse(e1.begin(), e1.end());
+
+      std::vector<Complex> a0 = row0;
+      std::vector<Complex> a1 = row1;
+      kt.butterfly_mirror(a0.data(), a1.data(), len, c, s);
+      EXPECT_EQ(count_amp_mismatches(a0, e0) + count_amp_mismatches(a1, e1),
+                0u)
+          << quantum::to_string(tier) << " len=" << len;
+    }
+  }
+}
+
 TEST(SimdKernels, ButterflyQuadBitIdenticalToScalarOnAllLengths) {
   const KernelTable& scalar = quantum::simd::kernels(SimdTier::kScalar);
   for (SimdTier tier : supported_vector_tiers()) {
@@ -424,6 +451,85 @@ TEST(FusedTiles, LayerBitIdenticalToLevelOracleForEveryShape) {
   }
 }
 
+TEST(FusedTiles, HalfLayerBitIdenticalToFullLayerForEveryShape) {
+  // The half layer on a Z2-symmetric state and diagonal against the
+  // full level-by-level oracle, on the shrunken shapes too, so that
+  // small states reach pass B's column pairing (one column, and pairs)
+  // and the mirror level after a single tile.
+  namespace fused = quantum::fused;
+  const KernelTable& scalar = quantum::simd::kernels(SimdTier::kScalar);
+  struct Tiles {
+    int l1;
+    int l2;
+    int max_stored;
+  };
+  const std::vector<Tiles> shapes = {
+      {fused::kBlockQubits, fused::kL2Qubits, 19}, {2, 5, 13}, {3, 6, 13},
+      {4, 9, 16}};
+  Rng rng(0x4A1F);
+  for (int n = 2; n <= 20; ++n) {
+    const std::size_t dim = std::size_t{1} << n;
+    const std::size_t half = dim / 2;
+    const int max_value = n + 3;
+    std::vector<int> diag(dim);
+    std::vector<Complex> input(dim);
+    for (std::size_t z = 0; z < half; ++z) {
+      diag[z] = diag[dim - 1 - z] = static_cast<int>(
+          rng.uniform_int(static_cast<std::uint64_t>(max_value) + 1));
+      input[z] = input[dim - 1 - z] =
+          Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    }
+    const double gamma = rng.uniform(-M_PI, M_PI);
+    std::vector<Complex> phases(static_cast<std::size_t>(max_value) + 1);
+    for (std::size_t k = 0; k < phases.size(); ++k) {
+      const double phi = -gamma * static_cast<double>(k);
+      phases[k] = Complex{std::cos(phi), std::sin(phi)};
+    }
+    const double beta = rng.uniform(-M_PI, M_PI);
+    const double c = std::cos(beta / 2.0);
+    const double s = std::sin(beta / 2.0);
+    auto lower_half_after_layer = [&](std::vector<Complex> amps) {
+      scalar.phase_integral(amps.data(), diag.data(), phases.data(), dim);
+      scalar.mix_tile(amps.data(), n, c, s);
+      // The full result is symmetric too: its upper half mirrors the
+      // lower half the half layer keeps.
+      for (std::size_t z = 0; z < half; ++z) {
+        EXPECT_TRUE(bits_equal(amps[z], amps[dim - 1 - z])) << "n=" << n;
+      }
+      amps.resize(half);
+      return amps;
+    };
+    const std::vector<Complex> expected = lower_half_after_layer(input);
+    const std::vector<Complex> expected_uniform = lower_half_after_layer(
+        std::vector<Complex>(dim, Complex{1.0 / std::sqrt(static_cast<double>(dim)), 0.0}));
+    for (SimdTier tier : supported_tiers()) {
+      const KernelTable& kt = quantum::simd::kernels(tier);
+      for (const Tiles& tiles : shapes) {
+        if (n - 1 > tiles.max_stored) continue;
+        for (const int threads : {1, 2, 3, 8}) {
+          std::vector<Complex> actual(input.begin(), input.begin() + half);
+          fused::detail::apply_layer_integral_tiled(
+              actual.data(), n, diag.data(), phases.data(), beta, threads, kt,
+              tiles.l1, tiles.l2, fused::LayerInput::kState,
+              fused::Storage::kMirrorHalf);
+          EXPECT_EQ(count_amp_mismatches(actual, expected), 0u)
+              << quantum::to_string(tier) << " n=" << n << " l1=" << tiles.l1
+              << " l2=" << tiles.l2 << " threads=" << threads;
+          std::vector<Complex> started(half, Complex{std::nan(""), std::nan("")});
+          fused::detail::apply_layer_integral_tiled(
+              started.data(), n, diag.data(), phases.data(), beta, threads, kt,
+              tiles.l1, tiles.l2, fused::LayerInput::kUniform,
+              fused::Storage::kMirrorHalf);
+          EXPECT_EQ(count_amp_mismatches(started, expected_uniform), 0u)
+              << quantum::to_string(tier) << " uniform n=" << n
+              << " l1=" << tiles.l1 << " l2=" << tiles.l2
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, ExpectationBlockBitIdenticalToScalarOnAllLengths) {
   const KernelTable& scalar = quantum::simd::kernels(SimdTier::kScalar);
   for (SimdTier tier : supported_vector_tiers()) {
@@ -433,12 +539,55 @@ TEST(SimdKernels, ExpectationBlockBitIdenticalToScalarOnAllLengths) {
       const std::vector<Complex> amps = random_amps(len, rng);
       std::vector<double> diag(len);
       for (double& d : diag) d = rng.uniform(-5.0, 5.0);
-      const double expected =
-          scalar.expectation_block(amps.data(), diag.data(), len);
-      const double actual = kt.expectation_block(amps.data(), diag.data(), len);
+      const double expected = quantum::simd::expectation_block(
+          scalar, amps.data(), diag.data(), len);
+      const double actual =
+          quantum::simd::expectation_block(kt, amps.data(), diag.data(), len);
       EXPECT_TRUE(bits_equal(actual, expected))
           << quantum::to_string(tier) << " len=" << len << " got " << actual
           << " want " << expected;
+    }
+  }
+}
+
+TEST(SimdKernels, ExpectationLanesBothDirectionsBitIdenticalToScalar) {
+  // Lanes start from arbitrary values (a block's second range continues
+  // its first), and the reversed read must equal the forward kernel on
+  // reversed copies of the range.
+  const KernelTable& scalar = quantum::simd::kernels(SimdTier::kScalar);
+  for (SimdTier tier : supported_tiers()) {
+    const KernelTable& kt = quantum::simd::kernels(tier);
+    Rng rng(0x1A2E);
+    for (std::size_t len : kOddLengths) {
+      const std::vector<Complex> amps = random_amps(len, rng);
+      std::vector<double> diag(len);
+      for (double& d : diag) d = rng.uniform(-5.0, 5.0);
+      double start[8];
+      for (double& l : start) l = rng.uniform(-1.0, 1.0);
+
+      double expected[8], actual[8];
+      std::copy(start, start + 8, expected);
+      std::copy(start, start + 8, actual);
+      scalar.expectation_lanes(expected, amps.data(), diag.data(), len);
+      kt.expectation_lanes(actual, amps.data(), diag.data(), len);
+      for (int j = 0; j < 8; ++j) {
+        EXPECT_TRUE(bits_equal(actual[j], expected[j]))
+            << quantum::to_string(tier) << " forward len=" << len
+            << " lane " << j;
+      }
+
+      const std::vector<Complex> amps_rev(amps.rbegin(), amps.rend());
+      const std::vector<double> diag_rev(diag.rbegin(), diag.rend());
+      std::copy(start, start + 8, expected);
+      std::copy(start, start + 8, actual);
+      scalar.expectation_lanes(expected, amps_rev.data(), diag_rev.data(),
+                               len);
+      kt.expectation_lanes_reversed(actual, amps.data(), diag.data(), len);
+      for (int j = 0; j < 8; ++j) {
+        EXPECT_TRUE(bits_equal(actual[j], expected[j]))
+            << quantum::to_string(tier) << " reversed len=" << len
+            << " lane " << j;
+      }
     }
   }
 }
