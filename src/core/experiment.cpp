@@ -188,7 +188,7 @@ struct Table1Codec {
     os << ' ' << g.naive_ar << ' ' << g.naive_fc << ' ' << g.ml_ar << ' '
        << g.ml_fc;
   }
-  static void read(std::istream& is, GraphStats& g) {
+  static void read(std::istream& is, std::size_t, GraphStats& g) {
     is >> g.naive_ar >> g.naive_fc >> g.ml_ar >> g.ml_fc;
   }
 };

@@ -1,6 +1,7 @@
-// The sharded-unit engine behind the crash-resumable sweeps (the
-// Table-I experiment in core/experiment.hpp, the transfer matrix in
-// core/transfer_experiment.hpp).
+// The sharded-unit engine behind every crash-resumable sweep: the
+// training corpus (core/corpus_pipeline.hpp), the Table-I experiment
+// (core/experiment.hpp) and the transfer matrix
+// (core/transfer_experiment.hpp).
 //
 // A sweep is a flat space of `total` work units whose results are pure
 // functions of (config, unit).  A ShardSpec splits that space
@@ -30,11 +31,13 @@
 //                                                  // names the errors
 //     std::string config_line(const ShardSpec&) const;
 //     static void write(std::ostream&, const Record&);  // " f1 f2 ..."
-//     static void read(std::istream&, Record&);         // the same back
+//     void read(std::istream&, std::size_t unit, Record&) const;
 //   };
 //
-// The corpus pipeline (core/corpus_pipeline.hpp) keeps its own
-// two-file format but shares the scheduler and ShardSpec below.
+// read() parses what write() wrote for `unit`; a failed stream or any
+// exception it throws ends the valid prefix at that line.  There is no
+// second ledger file: a unit counts as committed once its line is
+// complete on disk.
 #ifndef QAOAML_CORE_SHARDED_RUN_HPP
 #define QAOAML_CORE_SHARDED_RUN_HPP
 
@@ -138,7 +141,7 @@ struct ParsedShard {
 };
 
 template <typename Codec>
-ParsedShard<Codec> parse_shard(const std::string& path,
+ParsedShard<Codec> parse_shard(const Codec& codec, const std::string& path,
                                const std::string& config_line,
                                std::size_t total, const ShardSpec& shard) {
   ParsedShard<Codec> out;
@@ -153,18 +156,23 @@ ParsedShard<Codec> parse_shard(const std::string& path,
     std::istringstream ls(line);
     std::string tag;
     std::size_t unit = 0;
-    typename Codec::Record record{};
     ls >> tag >> unit;
-    Codec::read(ls, record);
-    std::string trailing;
-    if (tag != "unit" || ls.fail() ||
-        (ls >> trailing, !trailing.empty()) || !shard.owns(unit) ||
-        unit >= total ||
+    if (tag != "unit" || ls.fail() || !shard.owns(unit) || unit >= total ||
         (!out.units.empty() && unit <= out.units.back())) {
       break;
     }
+    typename Codec::Record record{};
+    try {
+      codec.read(ls, unit, record);
+    } catch (const std::exception&) {
+      // Not just Error: a corrupt count can provoke bad_alloc or
+      // length_error inside read, and that line is as torn as any.
+      break;
+    }
+    std::string trailing;
+    if (ls.fail() || (ls >> trailing, !trailing.empty())) break;
     out.units.push_back(unit);
-    out.records.push_back(record);
+    out.records.push_back(std::move(record));
   }
   return out;
 }
@@ -190,8 +198,8 @@ class ShardedRun {
     const std::string config_line = codec.config_line(shard);
     const std::vector<std::size_t> owned = shard_units(total, shard);
     report_.units_owned = owned.size();
-    detail::ParsedShard<Codec> resumed = detail::parse_shard<Codec>(
-        report_.data_path, config_line, total, shard);
+    detail::ParsedShard<Codec> resumed = detail::parse_shard(
+        codec, report_.data_path, config_line, total, shard);
     std::size_t count = 0;
     while (count < resumed.units.size() &&
            resumed.units[count] == owned[count]) {
@@ -236,6 +244,7 @@ class ShardedRun {
           [&](std::size_t unit, std::size_t slot) {
             detail::write_unit_line<Codec>(data, unit, slots[slot]);
             data.flush();
+            slots[slot] = Record{};  // free as we go: O(1) resident
             // Without this, every remaining unit would keep burning CPU
             // while its commits silently no-op.
             require(data.good(),
@@ -280,8 +289,8 @@ std::vector<typename Codec::Record> merge_sharded_runs(
     const ShardSpec shard{s, shard_count};
     const std::string path = sharded_run_path(Codec::kStem, directory, shard);
     const std::string config_line = codec.config_line(shard);
-    const detail::ParsedShard<Codec> parsed =
-        detail::parse_shard<Codec>(path, config_line, total, shard);
+    detail::ParsedShard<Codec> parsed =
+        detail::parse_shard(codec, path, config_line, total, shard);
     const std::size_t owned = shard_units(total, shard).size();
     const std::string name = who + ": shard " + std::to_string(s) + "/" +
                              std::to_string(shard_count);
@@ -292,14 +301,16 @@ std::vector<typename Codec::Record> merge_sharded_runs(
       if (probe.good() && std::getline(probe, header) &&
           std::getline(probe, file_config) && file_config != config_line) {
         throw InvalidArgument(
-            name + " was generated with a different config (" + path + ")");
+            name + " was generated with a different config (" + path +
+            " has \"" + file_config + "\", merge asked for \"" + config_line +
+            "\")");
       }
       throw InvalidArgument(name + " incomplete (" +
                             std::to_string(parsed.units.size()) + " of " +
                             std::to_string(owned) + " units in " + path + ")");
     }
     for (std::size_t i = 0; i < parsed.units.size(); ++i) {
-      records[parsed.units[i]] = parsed.records[i];
+      records[parsed.units[i]] = std::move(parsed.records[i]);
     }
   }
   return records;

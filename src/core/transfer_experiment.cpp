@@ -294,7 +294,7 @@ struct TransferCodec {
     os << ' ' << u.cold_ar << ' ' << u.cold_fc << ' ' << u.cold_iters << ' '
        << u.warm_ar << ' ' << u.warm_fc << ' ' << u.warm_iters;
   }
-  static void read(std::istream& is, TransferUnitStats& u) {
+  static void read(std::istream& is, std::size_t, TransferUnitStats& u) {
     is >> u.cold_ar >> u.cold_fc >> u.cold_iters >> u.warm_ar >> u.warm_fc >>
         u.warm_iters;
   }

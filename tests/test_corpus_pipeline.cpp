@@ -5,8 +5,8 @@
 //  - a shard killed mid-write (simulated by truncating its data file at
 //    arbitrary byte offsets) resumes where it left off and completes to
 //    the same bytes;
-//  - stale files (different config / shard layout) are regenerated, a
-//    missing manifest does not block resume, and merging an incomplete
+//  - stale files (different config / shard layout, or the block format
+//    of an older build) are regenerated, and merging an incomplete
 //    shard set fails loudly.
 #include <fcntl.h>
 #include <sys/file.h>
@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -180,49 +181,96 @@ TEST(CorpusPipelineTest, CompletedShardResumesWithoutRecomputing) {
   EXPECT_EQ(file_bytes(second.data_path), bytes);
 }
 
-TEST(CorpusPipelineTest, MissingManifestStillResumesFromData) {
+TEST(CorpusPipelineTest, LineThatIsNotItsUnitsRecordEndsTheValidPrefix) {
+  // Each case rewrites unit 2's line of a complete shard into one the
+  // dataset parser reads but that is not unit 2's full record, or that
+  // names an implausible node count.  Resume keeps units 0 and 1 and
+  // regenerates the rest to the same bytes.
   const DatasetConfig config = tiny_config();
-  const std::string dir = unique_dir("manifest_gone");
+  const ShardSpec shard{0, 1};
   CorpusShardConfig shard_config;
   shard_config.dataset = config;
-  shard_config.shard = ShardSpec{0, 1};
-  shard_config.directory = dir;
+  shard_config.shard = shard;
+  shard_config.directory = unique_dir("reference_shard");
+  const std::string full =
+      file_bytes(CorpusPipeline::run_shard(shard_config).data_path);
+  std::vector<std::string> lines;  // header, config, units 0, 1, 2, ...
+  std::istringstream is(full);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u + static_cast<std::size_t>(config.num_graphs));
+  const std::string& unit2 = lines[4];
+  const std::string& unit3 = lines[5];
 
-  const ShardReport first = CorpusPipeline::run_shard(shard_config);
-  std::filesystem::remove(first.manifest_path);
-
-  const ShardReport second = CorpusPipeline::run_shard(shard_config);
-  EXPECT_EQ(second.units_resumed, second.units_owned);
-  EXPECT_EQ(second.units_generated, 0u);
-  // The manifest ledger is rebuilt to match the data file.
-  EXPECT_TRUE(std::filesystem::exists(second.manifest_path));
+  const struct {
+    const char* name;
+    std::string line;
+  } cases[] = {
+      {"other_units_record", "unit 2" + unit3.substr(unit3.find(" graph"))},
+      {"missing_depth", unit2.substr(0, unit2.rfind(';'))},
+      {"huge_node_count",
+       "unit 2 graph 2 2000000000 1 0 1 1" + unit2.substr(unit2.find(';'))},
+  };
+  for (const auto& c : cases) {
+    shard_config.directory = unique_dir(c.name);
+    std::string bytes;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      bytes += (i == 4 ? c.line : lines[i]) + '\n';
+    }
+    {
+      std::ofstream os(
+          CorpusPipeline::shard_data_path(shard_config.directory, shard));
+      os << bytes;
+    }
+    const ShardReport report = CorpusPipeline::run_shard(shard_config);
+    EXPECT_EQ(report.units_resumed, 2u) << c.name;
+    EXPECT_EQ(report.units_generated, report.units_owned - 2) << c.name;
+    EXPECT_EQ(file_bytes(report.data_path), full) << c.name;
+  }
 }
 
-TEST(CorpusPipelineTest, ManifestLedgerCapsResume) {
+TEST(CorpusPipelineTest, OldBlockFormatShardIsRegeneratedFromScratch) {
+  // A directory left by an older build: a complete shard in the
+  // multi-line unit/graph/params/done block format plus its .manifest
+  // ledger.  The header no longer matches, so nothing is resumed from
+  // it, and the regenerated shard merges to the reference bytes.
   const DatasetConfig config = tiny_config();
-  const std::string dir = unique_dir("ledger_cap");
-  CorpusShardConfig shard_config;
-  shard_config.dataset = config;
-  shard_config.shard = ShardSpec{0, 1};
-  shard_config.directory = dir;
-
-  const ShardReport first = CorpusPipeline::run_shard(shard_config);
-  const std::string bytes = file_bytes(first.data_path);
-
-  // Drop the ledger's last line: the data file still holds every unit,
-  // but the un-recorded one must be treated as uncommitted and re-run.
-  std::string manifest = file_bytes(first.manifest_path);
-  manifest.pop_back();  // trailing newline
-  manifest.resize(manifest.rfind('\n') + 1);
+  const std::string dir = unique_dir("v1_upgrade");
+  const std::string reference = reference_bytes(config, dir);
+  const ShardSpec shard{0, 1};
+  const std::string config_line =
+      "config " + to_string(config) + " shard=0/1";
+  std::ostringstream data;
+  std::ostringstream manifest;
+  data << "qaoaml-corpus-shard-v1\n" << config_line << '\n';
+  manifest << "qaoaml-corpus-manifest-v1\n" << config_line << '\n';
+  for (const InstanceRecord& record :
+       CorpusPipeline::generate_records(config)) {
+    data << "unit " << record.id << '\n';
+    detail::write_record(data, record);
+    data << "done " << record.id << '\n';
+    manifest << record.id << '\n';
+  }
+  const std::string data_path = CorpusPipeline::shard_data_path(dir, shard);
   {
-    std::ofstream os(first.manifest_path, std::ios::trunc);
-    os << manifest;
+    std::ofstream os(data_path);
+    os << data.str();
+  }
+  {
+    std::ofstream os(dir + "/corpus.shard0of1.manifest");
+    os << manifest.str();
   }
 
-  const ShardReport second = CorpusPipeline::run_shard(shard_config);
-  EXPECT_EQ(second.units_resumed, second.units_owned - 1);
-  EXPECT_EQ(second.units_generated, 1u);
-  EXPECT_EQ(file_bytes(second.data_path), bytes);
+  CorpusShardConfig shard_config;
+  shard_config.dataset = config;
+  shard_config.shard = shard;
+  shard_config.directory = dir;
+  const ShardReport report = CorpusPipeline::run_shard(shard_config);
+  EXPECT_EQ(report.units_resumed, 0u);
+  EXPECT_EQ(report.units_generated, report.units_owned);
+
+  const std::string out = dir + "/merged.txt";
+  CorpusPipeline::merge_shards(config, 1, dir, out);
+  EXPECT_EQ(file_bytes(out), reference);
 }
 
 TEST(CorpusPipelineTest, InvalidConfigErrorsBeforeTouchingShardFiles) {

@@ -1,13 +1,16 @@
 // The sharded-unit engine's resume and merge contract, driven through
 // a toy codec so it is tested once for every sweep that uses it: the
 // lock, the longest-valid-prefix resume (torn lines, out-of-order,
-// foreign, out-of-range and trailing-token units, header and config
-// mismatches), the in-order append, and the merge diagnoses.
+// foreign, out-of-range and trailing-token units, a codec read that
+// throws, header and config mismatches), the in-order append, and the
+// merge diagnoses.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,8 +40,25 @@ struct ToyCodec {
   static void write(std::ostream& os, const ToyRecord& r) {
     os << ' ' << r.value << ' ' << r.square;
   }
-  static void read(std::istream& is, ToyRecord& r) {
+  static void read(std::istream& is, std::size_t, ToyRecord& r) {
     is >> r.value >> r.square;
+  }
+};
+
+/// Reads like ToyCodec but throws on unit `bad`, the way a real parser
+/// does on a corrupt line: an Error, or an allocation that a corrupt
+/// count made impossible.
+struct ThrowingCodec : ToyCodec {
+  std::size_t bad = 0;
+  int kind = 0;
+
+  void read(std::istream& is, std::size_t unit, ToyRecord& r) const {
+    if (unit == bad) {
+      if (kind == 0) throw InvalidArgument("corrupt line");
+      if (kind == 1) throw std::bad_alloc();
+      throw std::length_error("corrupt count");
+    }
+    ToyCodec::read(is, unit, r);
   }
 };
 
@@ -241,6 +261,20 @@ TEST(ShardedRun, InvalidUnitLinesEndTheValidPrefix) {
   }
 }
 
+TEST(ShardedRun, ExceptionFromReadEndsTheValidPrefix) {
+  const ShardSpec shard{0, 1};
+  for (const int kind : {0, 1, 2}) {
+    const std::string dir = unique_dir("read_throws" + std::to_string(kind));
+    const std::string full = read_file(run_shard(dir, shard).data_path);
+    const ThrowingCodec codec{{}, 4, kind};
+    ShardedRun<ThrowingCodec> run(codec, shard, dir, kTotal);
+    const ShardRunReport report = run.generate(compute);
+    EXPECT_EQ(report.units_resumed, 4u) << "kind=" << kind;
+    EXPECT_EQ(report.units_generated, kTotal - 4) << "kind=" << kind;
+    EXPECT_EQ(read_file(report.data_path), full) << "kind=" << kind;
+  }
+}
+
 TEST(ShardedRun, HeaderOrConfigMismatchDiscardsTheFile) {
   const ShardSpec shard{0, 1};
   const std::vector<std::string> lines{unit_line(0), unit_line(1)};
@@ -270,6 +304,13 @@ TEST(ShardedRun, MergeNamesIncompleteAndDifferentConfigShards) {
   const std::string changed = merge_error(dir, 2, ToyCodec{2});
   EXPECT_NE(changed.find("merge_toy_shards: shard 0/2 was generated with a "
                          "different config"),
+            std::string::npos)
+      << changed;
+  // Both config lines are quoted, so the operator sees which flag moved.
+  EXPECT_NE(changed.find("\"" + ToyCodec{}.config_line({0, 2}) + "\""),
+            std::string::npos)
+      << changed;
+  EXPECT_NE(changed.find("\"" + ToyCodec{2}.config_line({0, 2}) + "\""),
             std::string::npos)
       << changed;
 

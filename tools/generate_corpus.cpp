@@ -178,12 +178,15 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
 }
 
 void print_report(const ShardReport& report, const ShardSpec& shard) {
+  const double rate =
+      report.seconds > 0.0
+          ? static_cast<double>(report.units_generated) / report.seconds
+          : 0.0;
   std::printf(
       "shard %d/%d: %zu units (%zu resumed, %zu generated) in %.2f s"
-      "  (%.2f instances/sec)\n  data     %s\n  manifest %s\n",
+      "  (%.2f instances/sec)\n  data %s\n",
       shard.index, shard.count, report.units_owned, report.units_resumed,
-      report.units_generated, report.seconds, report.instances_per_second,
-      report.data_path.c_str(), report.manifest_path.c_str());
+      report.units_generated, report.seconds, rate, report.data_path.c_str());
 }
 
 }  // namespace
