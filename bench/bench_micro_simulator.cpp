@@ -1,12 +1,10 @@
-// M1 micro-benchmarks: statevector simulator throughput — gate
-// application scaling with qubit count, the fused QAOA layer against
-// the unfused gate sequence it replaces (BM_QaoaLayerFused vs
-// BM_QaoaLayerUnfused), the integral-spectrum fast path, and the
-// multi-threaded kernels (the *Threads benchmarks sweep the worker
-// count on a fixed 22-qubit state; compare Arg(1) vs Arg(8) for the
-// intra-state scaling headline; BM_QaoaObjectiveP2Q16 for a 16-qubit
-// objective evaluation; BM_StateIntoQ8 for the 8-qubit state build of
-// the paper's workload).
+// M1 micro-benchmarks: statevector throughput — the fused QAOA layer
+// (integral-spectrum phase + mixer) across qubit counts, QAOA
+// expectations and state builds (BM_StateIntoQ8 for the 8-qubit state
+// build of the paper's workload, BM_QaoaObjectiveP2Q16 for a 16-qubit
+// objective evaluation), and the multi-threaded kernels (the *Threads
+// benchmarks sweep the worker count on a fixed 22-qubit state; compare
+// Arg(1) vs Arg(8) for the intra-state scaling headline).
 #include <benchmark/benchmark.h>
 
 #include "common/parallel.hpp"
@@ -19,60 +17,6 @@
 using namespace qaoaml;
 
 namespace {
-
-void BM_SingleQubitGate(benchmark::State& state) {
-  const int qubits = static_cast<int>(state.range(0));
-  quantum::Statevector sv = quantum::Statevector::uniform(qubits);
-  const quantum::Gate1Q gate = quantum::gates::rx(0.3);
-  int target = 0;
-  for (auto _ : state) {
-    sv.apply_gate(gate, target);
-    target = (target + 1) % qubits;
-  }
-  state.SetItemsProcessed(state.iterations() * (1LL << qubits));
-}
-BENCHMARK(BM_SingleQubitGate)->DenseRange(4, 20, 4);
-
-void BM_Cnot(benchmark::State& state) {
-  const int qubits = static_cast<int>(state.range(0));
-  quantum::Statevector sv = quantum::Statevector::uniform(qubits);
-  for (auto _ : state) {
-    sv.apply_cnot(0, qubits - 1);
-  }
-  state.SetItemsProcessed(state.iterations() * (1LL << qubits));
-}
-BENCHMARK(BM_Cnot)->DenseRange(4, 20, 4);
-
-void BM_DiagonalEvolution(benchmark::State& state) {
-  const int qubits = static_cast<int>(state.range(0));
-  quantum::Statevector sv = quantum::Statevector::uniform(qubits);
-  std::vector<double> diag(sv.dimension());
-  for (std::size_t z = 0; z < diag.size(); ++z) {
-    diag[z] = static_cast<double>(__builtin_popcountll(z));
-  }
-  for (auto _ : state) {
-    sv.apply_diagonal_evolution(diag, 0.017);
-  }
-  state.SetItemsProcessed(state.iterations() * (1LL << qubits));
-}
-BENCHMARK(BM_DiagonalEvolution)->DenseRange(4, 20, 4);
-
-void BM_DiagonalEvolutionIntegral(benchmark::State& state) {
-  const int qubits = static_cast<int>(state.range(0));
-  quantum::Statevector sv = quantum::Statevector::uniform(qubits);
-  std::vector<int> diag(sv.dimension());
-  for (std::size_t z = 0; z < diag.size(); ++z) {
-    diag[z] = __builtin_popcountll(z);
-  }
-  for (auto _ : state) {
-    // The popcount diagonal is valid by construction: time the kernel,
-    // not the entry-range scan the production hot path also skips.
-    sv.apply_diagonal_evolution_integral(diag, 0.017, qubits,
-                                         /*entries_prevalidated=*/true);
-  }
-  state.SetItemsProcessed(state.iterations() * (1LL << qubits));
-}
-BENCHMARK(BM_DiagonalEvolutionIntegral)->DenseRange(4, 20, 4);
 
 void BM_QaoaExpectationFast(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
@@ -107,27 +51,7 @@ void BM_StateIntoQ8(benchmark::State& state) {
 BENCHMARK(BM_StateIntoQ8)->Arg(2)->Arg(3)->Arg(5)
     ->Unit(benchmark::kMicrosecond);
 
-// ---- Fused-layer benchmarks -----------------------------------------
-// One full QAOA layer (integral phase separator + mixer on every
-// qubit), fused vs the unfused gate sequence it replaces.
-
-void BM_QaoaLayerUnfused(benchmark::State& state) {
-  const int qubits = static_cast<int>(state.range(0));
-  quantum::Statevector sv = quantum::Statevector::uniform(qubits);
-  std::vector<int> diag(sv.dimension());
-  for (std::size_t z = 0; z < diag.size(); ++z) {
-    diag[z] = __builtin_popcountll(z);
-  }
-  const quantum::Gate1Q mixer = quantum::gates::rx(0.41);
-  for (auto _ : state) {
-    sv.apply_diagonal_evolution_integral(diag, 0.017, qubits,
-                                         /*entries_prevalidated=*/true);
-    for (int q = 0; q < qubits; ++q) sv.apply_gate(mixer, q);
-  }
-  state.SetItemsProcessed(state.iterations() * (1LL << qubits));
-}
-BENCHMARK(BM_QaoaLayerUnfused)->DenseRange(8, 20, 4);
-
+// One full QAOA layer: integral phase separator + mixer on every qubit.
 void BM_QaoaLayerFused(benchmark::State& state) {
   const int qubits = static_cast<int>(state.range(0));
   quantum::Statevector sv = quantum::Statevector::uniform(qubits);
@@ -162,33 +86,6 @@ BENCHMARK(BM_QaoaObjectiveP2Q16)->Unit(benchmark::kMicrosecond);
 // blocked kernels dominate dispatch overhead.
 
 constexpr int kThreadedQubits = 22;
-
-void BM_SingleQubitGateThreads(benchmark::State& state) {
-  const ScopedThreadCount guard(static_cast<int>(state.range(0)));
-  quantum::Statevector sv = quantum::Statevector::uniform(kThreadedQubits);
-  const quantum::Gate1Q gate = quantum::gates::rx(0.3);
-  int target = 0;
-  for (auto _ : state) {
-    sv.apply_gate(gate, target);
-    target = (target + 1) % kThreadedQubits;
-  }
-  state.SetItemsProcessed(state.iterations() * (1LL << kThreadedQubits));
-}
-BENCHMARK(BM_SingleQubitGateThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_DiagonalEvolutionThreads(benchmark::State& state) {
-  const ScopedThreadCount guard(static_cast<int>(state.range(0)));
-  quantum::Statevector sv = quantum::Statevector::uniform(kThreadedQubits);
-  std::vector<double> diag(sv.dimension());
-  for (std::size_t z = 0; z < diag.size(); ++z) {
-    diag[z] = static_cast<double>(__builtin_popcountll(z));
-  }
-  for (auto _ : state) {
-    sv.apply_diagonal_evolution(diag, 0.017);
-  }
-  state.SetItemsProcessed(state.iterations() * (1LL << kThreadedQubits));
-}
-BENCHMARK(BM_DiagonalEvolutionThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ExpectationDiagonalThreads(benchmark::State& state) {
   const ScopedThreadCount guard(static_cast<int>(state.range(0)));

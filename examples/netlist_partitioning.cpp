@@ -17,6 +17,7 @@
 //   build/examples/netlist_partitioning
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "core/angles.hpp"
 #include "core/qaoa_objective.hpp"
@@ -118,9 +119,13 @@ int main() {
 
   // Hardware-style readout + greedy swap refinement.
   const quantum::Statevector state = instance.state(search.best.x);
+  std::vector<double> cdf;
+  state.cumulative_probabilities(cdf);
   std::uint64_t best_mask = 0;
   double best_energy = -1e300;
-  for (const std::uint64_t z : state.sample(rng, 512)) {
+  for (int shot = 0; shot < 512; ++shot) {
+    const std::uint64_t z =
+        quantum::Statevector::sample_cdf(cdf, rng.uniform());
     const double e = instance.hamiltonian().value(z);
     if (e > best_energy) {
       best_energy = e;

@@ -129,6 +129,8 @@ Request decode_request(std::uint32_t frame_type, const std::string& payload) {
     request.problem = decode_graph(reader);
     request.seed = reader.u64();
     request.level1_restarts = reader.i32();
+    require(request.level1_restarts >= 1,
+            "decode_request: level1_restarts must be >= 1");
     if (!reader.at_end()) {
       // Optional trailing eval block (new clients in sampled mode).
       // Unknown versions throw: the checksum already passed, so this is
@@ -350,19 +352,7 @@ void Scheduler::process_batch(std::vector<Job>& jobs) {
           solver.level1_restarts = request.level1_restarts;
           solver.eval = request.eval;
           Rng rng(request.seed);
-          const QaoaRun level1 = [&] {
-            const MaxCutQaoa level1_instance(request.problem, 1);
-            if (solver.level1_restarts <= 1) {
-              return solve_random_init(level1_instance, solver.optimizer, rng,
-                                       solver.eval, solver.options);
-            }
-            MultistartRuns runs = solve_multistart(
-                level1_instance, solver.optimizer, solver.level1_restarts,
-                rng, solver.eval, solver.options);
-            QaoaRun best = runs.best;
-            best.function_calls = runs.total_function_calls;
-            return best;
-          }();
+          const QaoaRun level1 = solve_level1(request.problem, solver, rng);
           response.gamma1 = gamma_of(level1.params, 1);
           response.beta1 = beta_of(level1.params, 1);
           response.angles = entry.bank->predict(

@@ -15,9 +15,21 @@ optim::Options warm_options(const TwoLevelConfig& config) {
   return options;
 }
 
-/// Level 1 of both flows: optimize the depth-1 instance.
-QaoaRun run_level1(const graph::Graph& problem, const TwoLevelConfig& config,
-                   Rng& rng) {
+/// A warm-started stage under the config's EvalSpec.  Sampled mode
+/// draws the stage's measurement-stream seed from `rng`; exact mode
+/// leaves `rng` untouched (bit-compat with the pre-EvalSpec flow).
+QaoaRun solve_warm_stage(const MaxCutQaoa& instance,
+                         const TwoLevelConfig& config,
+                         std::span<const double> init, Rng& rng) {
+  const std::uint64_t stream_seed = config.eval.sampled() ? rng() : 0;
+  return solve_from_seeded(instance, config.optimizer, init, config.eval,
+                           stream_seed, warm_options(config));
+}
+
+}  // namespace
+
+QaoaRun solve_level1(const graph::Graph& problem, const TwoLevelConfig& config,
+                     Rng& rng) {
   const MaxCutQaoa level1_instance(problem, 1);
   if (config.level1_restarts <= 1) {
     return solve_random_init(level1_instance, config.optimizer, rng,
@@ -32,19 +44,6 @@ QaoaRun run_level1(const graph::Graph& problem, const TwoLevelConfig& config,
   return best;
 }
 
-/// A warm-started stage under the config's EvalSpec.  Sampled mode
-/// draws the stage's measurement-stream seed from `rng`; exact mode
-/// leaves `rng` untouched (bit-compat with the pre-EvalSpec flow).
-QaoaRun solve_warm_stage(const MaxCutQaoa& instance,
-                         const TwoLevelConfig& config,
-                         std::span<const double> init, Rng& rng) {
-  const std::uint64_t stream_seed = config.eval.sampled() ? rng() : 0;
-  return solve_from_seeded(instance, config.optimizer, init, config.eval,
-                           stream_seed, warm_options(config));
-}
-
-}  // namespace
-
 AcceleratedRun solve_two_level(const graph::Graph& problem, int target_depth,
                                const ParameterPredictor& predictor,
                                const TwoLevelConfig& config, Rng& rng) {
@@ -54,7 +53,7 @@ AcceleratedRun solve_two_level(const graph::Graph& problem, int target_depth,
   require(target_depth >= 2, "solve_two_level: target depth must be >= 2");
 
   AcceleratedRun out;
-  out.level1 = run_level1(problem, config, rng);
+  out.level1 = solve_level1(problem, config, rng);
 
   out.predicted_init = predictor.predict(gamma_of(out.level1.params, 1),
                                          beta_of(out.level1.params, 1),
@@ -82,7 +81,7 @@ AcceleratedRun solve_three_level(const graph::Graph& problem, int target_depth,
           "solve_three_level: target depth must exceed the intermediate");
 
   AcceleratedRun out;
-  out.level1 = run_level1(problem, config, rng);
+  out.level1 = solve_level1(problem, config, rng);
   const double gamma1 = gamma_of(out.level1.params, 1);
   const double beta1 = beta_of(out.level1.params, 1);
 

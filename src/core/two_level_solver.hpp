@@ -48,6 +48,13 @@ struct AcceleratedRun {
   int total_function_calls = 0;        ///< summed across all stages
 };
 
+/// Level 1 of every flow: optimizes the depth-1 instance of `problem`
+/// from config.level1_restarts random inits (one solve_random_init, or a
+/// solve_multistart whose best run reports the calls of all restarts),
+/// under config.eval and config.options.
+QaoaRun solve_level1(const graph::Graph& problem, const TwoLevelConfig& config,
+                     Rng& rng);
+
 /// Runs the two-level flow on `problem` for `target_depth`.
 /// `predictor` must be a trained two-level bank.
 AcceleratedRun solve_two_level(const graph::Graph& problem, int target_depth,

@@ -98,7 +98,7 @@ void apply_layer_impl(Complex* amps, int num_qubits, double beta, int threads,
   const std::size_t sub_size = std::size_t{1} << shape.sub;
   const std::size_t tile_size = std::size_t{1} << shape.tile;
   const bool uniform = input == LayerInput::kUniform;
-  // reset_uniform's value, written where the layer first touches it.
+  // The uniform start's value, written where the layer first touches it.
   const Complex start{
       1.0 / std::sqrt(static_cast<double>(std::size_t{1} << num_qubits)), 0.0};
   const int high = stored - shape.tile;

@@ -80,7 +80,7 @@
 #ifndef QAOAML_QUANTUM_FUSED_KERNELS_HPP
 #define QAOAML_QUANTUM_FUSED_KERNELS_HPP
 
-#include "quantum/gates.hpp"
+#include "quantum/complex.hpp"
 #include "quantum/simd_kernels.hpp"
 
 namespace qaoaml::quantum::fused {

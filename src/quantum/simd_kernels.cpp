@@ -14,7 +14,6 @@
 #include <cstddef>
 
 #include "common/error.hpp"
-#include "quantum/kernel_util.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define QAOAML_SIMD_X86 1
@@ -26,7 +25,14 @@
 namespace qaoaml::quantum::simd {
 namespace {
 
-using detail::multiply_amp;
+/// amp *= (pr + i*pi), with the product expanded to avoid __muldc3
+/// (GCC otherwise routes std::complex products through Annex G NaN
+/// handling, which dominates the kernels' run time).
+inline void multiply_amp(Complex& amp, double pr, double pi) {
+  const double ar = amp.real();
+  const double ai = amp.imag();
+  amp = Complex{ar * pr - ai * pi, ar * pi + ai * pr};
+}
 
 // ---------------------------------------------------------------------------
 // Scalar tier: the reference op sequences.  These are byte-for-byte the
@@ -36,8 +42,8 @@ using detail::multiply_amp;
 
 /// RX(beta) butterfly with c = cos(beta/2), s = sin(beta/2):
 ///   a0' = c*a0 - i*s*a1,  a1' = -i*s*a0 + c*a1.
-/// Expanded into real arithmetic (4 multiplies) so GCC neither calls
-/// __muldc3 nor spills through the generic 2x2 gate path.
+/// Expanded into real arithmetic (4 multiplies) so GCC does not call
+/// __muldc3.
 inline void rx_butterfly(Complex& amp0, Complex& amp1, double c, double s) {
   const double a0r = amp0.real(), a0i = amp0.imag();
   const double a1r = amp1.real(), a1i = amp1.imag();

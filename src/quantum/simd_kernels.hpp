@@ -36,7 +36,7 @@
 #include <cstddef>
 
 #include "quantum/dispatch.hpp"
-#include "quantum/gates.hpp"
+#include "quantum/complex.hpp"
 
 namespace qaoaml::quantum::simd {
 

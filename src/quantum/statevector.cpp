@@ -4,19 +4,14 @@
 #include <bit>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "quantum/fused_kernels.hpp"
-#include "quantum/kernel_util.hpp"
 #include "quantum/simd_kernels.hpp"
 
 namespace qaoaml::quantum {
 namespace {
-
-using detail::multiply_amp;
-using detail::pair_base;
 
 inline int kernel_threads(std::size_t dim) {
   return dim >= kAmplitudeParallelDim ? default_thread_count() : 1;
@@ -66,146 +61,13 @@ Statevector Statevector::from_amplitudes(std::vector<Complex> amplitudes) {
 }
 
 Statevector Statevector::uniform(int num_qubits) {
-  Statevector sv(num_qubits);
-  sv.reset_uniform(num_qubits);
-  return sv;
-}
-
-void Statevector::reset_uniform(int num_qubits) {
   require_qubit_count(num_qubits);
-  num_qubits_ = num_qubits;
+  Statevector sv;
+  sv.num_qubits_ = num_qubits;
   const std::size_t dim = std::size_t{1} << num_qubits;
-  if (amps_.size() != dim) amps_.resize(dim);
-  fill(0, dim, Complex{1.0 / std::sqrt(static_cast<double>(dim)), 0.0});
-}
-
-void Statevector::check_qubit(int q) const {
-  require(q >= 0 && q < num_qubits_, "Statevector: qubit index out of range");
-}
-
-void Statevector::apply_gate(const Gate1Q& gate, int target) {
-  check_qubit(target);
-  const std::size_t stride = std::size_t{1} << target;
-  const std::size_t dim = amps_.size();
-  // Complex arithmetic expanded into real/imaginary parts: GCC otherwise
-  // routes std::complex products through __muldc3 (Annex G NaN handling),
-  // which dominates the simulator's run time.
-  const double g00r = gate.m[0][0].real(), g00i = gate.m[0][0].imag();
-  const double g01r = gate.m[0][1].real(), g01i = gate.m[0][1].imag();
-  const double g10r = gate.m[1][0].real(), g10i = gate.m[1][0].imag();
-  const double g11r = gate.m[1][1].real(), g11i = gate.m[1][1].imag();
-  // Each pair (i0, i0 | stride) is touched by exactly one index k, so
-  // blocks write disjoint amplitude sets.
-  parallel_for_range(
-      dim / 2,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::size_t i0 = pair_base(k, target, stride);
-          const std::size_t i1 = i0 + stride;
-          const double a0r = amps_[i0].real(), a0i = amps_[i0].imag();
-          const double a1r = amps_[i1].real(), a1i = amps_[i1].imag();
-          amps_[i0] =
-              Complex{g00r * a0r - g00i * a0i + g01r * a1r - g01i * a1i,
-                      g00r * a0i + g00i * a0r + g01r * a1i + g01i * a1r};
-          amps_[i1] =
-              Complex{g10r * a0r - g10i * a0i + g11r * a1r - g11i * a1i,
-                      g10r * a0i + g10i * a0r + g11r * a1i + g11i * a1r};
-        }
-      },
-      kernel_threads(dim));
-}
-
-void Statevector::apply_controlled(const Gate1Q& gate, int control,
-                                   int target) {
-  check_qubit(control);
-  check_qubit(target);
-  require(control != target,
-          "Statevector: control and target must be distinct");
-  const std::size_t cmask = std::size_t{1} << control;
-  const std::size_t stride = std::size_t{1} << target;
-  const std::size_t dim = amps_.size();
-  parallel_for_range(
-      dim / 2,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::size_t i0 = pair_base(k, target, stride);
-          if ((i0 & cmask) == 0) continue;
-          const std::size_t i1 = i0 + stride;
-          const Complex a0 = amps_[i0];
-          const Complex a1 = amps_[i1];
-          amps_[i0] = gate.m[0][0] * a0 + gate.m[0][1] * a1;
-          amps_[i1] = gate.m[1][0] * a0 + gate.m[1][1] * a1;
-        }
-      },
-      kernel_threads(dim));
-}
-
-void Statevector::apply_cnot(int control, int target) {
-  check_qubit(control);
-  check_qubit(target);
-  require(control != target,
-          "Statevector: control and target must be distinct");
-  const std::size_t cmask = std::size_t{1} << control;
-  const std::size_t tmask = std::size_t{1} << target;
-  const std::size_t dim = amps_.size();
-  // Swap each |c=1, t=0> amplitude with its |c=1, t=1> partner once.
-  parallel_for_range(
-      dim / 2,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const std::size_t i0 = pair_base(k, target, tmask);
-          if ((i0 & cmask) != 0) std::swap(amps_[i0], amps_[i0 | tmask]);
-        }
-      },
-      kernel_threads(dim));
-}
-
-void Statevector::apply_cz(int a, int b) {
-  check_qubit(a);
-  check_qubit(b);
-  require(a != b, "Statevector: CZ qubits must be distinct");
-  const std::size_t mask = (std::size_t{1} << a) | (std::size_t{1} << b);
-  const std::size_t dim = amps_.size();
-  parallel_for_range(
-      dim,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t z = begin; z < end; ++z) {
-          if ((z & mask) == mask) amps_[z] = -amps_[z];
-        }
-      },
-      kernel_threads(dim));
-}
-
-void Statevector::apply_rz(int target, double theta) {
-  check_qubit(target);
-  const double c = std::cos(theta / 2.0);
-  const double s = std::sin(theta / 2.0);
-  const std::size_t mask = std::size_t{1} << target;
-  const std::size_t dim = amps_.size();
-  parallel_for_range(
-      dim,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t z = begin; z < end; ++z) {
-          // bit = 0 -> exp(-i theta/2); bit = 1 -> exp(+i theta/2)
-          multiply_amp(amps_[z], c, ((z & mask) == 0) ? -s : s);
-        }
-      },
-      kernel_threads(dim));
-}
-
-void Statevector::apply_diagonal_evolution(const std::vector<double>& diag,
-                                           double angle) {
-  require(diag.size() == amps_.size(),
-          "Statevector: diagonal length must equal dimension");
-  const std::size_t dim = amps_.size();
-  const simd::KernelTable& kt = simd::active_kernels();
-  parallel_for_range(
-      dim,
-      [&](std::size_t begin, std::size_t end) {
-        kt.phase_general(amps_.data() + begin, diag.data() + begin, angle,
-                         end - begin);
-      },
-      kernel_threads(dim));
+  sv.amps_.resize(dim);
+  sv.fill(0, dim, Complex{1.0 / std::sqrt(static_cast<double>(dim)), 0.0});
+  return sv;
 }
 
 /// Validates an integer diagonal before any amplitude is touched: the
@@ -249,23 +111,6 @@ static const Complex* integral_phase_table(double angle, int max_value) {
     table[k] = Complex{std::cos(phi), std::sin(phi)};
   }
   return table.data();
-}
-
-void Statevector::apply_diagonal_evolution_integral(
-    const std::vector<int>& diag, double angle, int max_value,
-    bool entries_prevalidated) {
-  check_integral_diagonal(diag, amps_.size(), max_value,
-                          !entries_prevalidated);
-  const Complex* phases = integral_phase_table(angle, max_value);
-  const std::size_t dim = amps_.size();
-  const simd::KernelTable& kt = simd::active_kernels();
-  parallel_for_range(
-      dim,
-      [&](std::size_t begin, std::size_t end) {
-        kt.phase_integral(amps_.data() + begin, diag.data() + begin, phases,
-                          end - begin);
-      },
-      kernel_threads(dim));
 }
 
 void Statevector::apply_qaoa_layer(const std::vector<double>& diag,
@@ -377,24 +222,6 @@ void Statevector::expand_mirror() {
       kernel_threads(dim));
 }
 
-void Statevector::apply_hadamard_all() {
-  const Gate1Q h = gates::hadamard();
-  for (int q = 0; q < num_qubits_; ++q) apply_gate(h, q);
-}
-
-double Statevector::norm() const {
-  const std::size_t dim = amps_.size();
-  const double acc = parallel_reduce(
-      dim, 0.0,
-      [&](std::size_t begin, std::size_t end) {
-        double partial = 0.0;
-        for (std::size_t z = begin; z < end; ++z) partial += std::norm(amps_[z]);
-        return partial;
-      },
-      kernel_threads(dim));
-  return std::sqrt(acc);
-}
-
 std::vector<double> Statevector::probabilities() const {
   const std::size_t dim = amps_.size();
   std::vector<double> probs(dim);
@@ -468,48 +295,14 @@ double Statevector::expectation_diagonal_mirrored(
   return acc;
 }
 
-double Statevector::expectation_z(int target) const {
-  check_qubit(target);
-  const std::size_t mask = std::size_t{1} << target;
-  const std::size_t dim = amps_.size();
-  return parallel_reduce(
-      dim, 0.0,
-      [&](std::size_t begin, std::size_t end) {
-        double partial = 0.0;
-        for (std::size_t z = begin; z < end; ++z) {
-          const double p = std::norm(amps_[z]);
-          partial += ((z & mask) == 0) ? p : -p;
-        }
-        return partial;
-      },
-      kernel_threads(dim));
-}
-
-std::uint64_t Statevector::sample(Rng& rng) const {
-  double u = rng.uniform();
-  for (std::size_t z = 0; z < amps_.size(); ++z) {
-    u -= std::norm(amps_[z]);
-    if (u <= 0.0) return z;
-  }
-  return amps_.size() - 1;  // numerical slack: return the last state
-}
-
-std::vector<std::uint64_t> Statevector::sample(Rng& rng, int shots) const {
-  require(shots >= 0, "Statevector::sample: shots must be non-negative");
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(shots));
-  for (auto& z : out) z = sample(rng);
-  return out;
-}
-
 void Statevector::cumulative_probabilities(std::vector<double>& cdf) const {
   const std::size_t dim = amps_.size();
   cdf.resize(dim);
   const std::size_t blocks = (dim + kParallelGrain - 1) / kParallelGrain;
   if (blocks <= 1) {
-    // Serial left-to-right accumulation: cdf[z] equals the running sum
-    // of the linear-scan sample() bit for bit, for every thread count.
-    // Every committed sampled fixture lives in this regime, so the
-    // blocked path below can never move their bits.
+    // Serial left-to-right accumulation, the same bits for every thread
+    // count.  Every committed sampled fixture lives in this regime, so
+    // the blocked path below can never move their bits.
     double acc = 0.0;
     for (std::size_t z = 0; z < dim; ++z) {
       acc += std::norm(amps_[z]);
@@ -567,25 +360,9 @@ std::uint64_t Statevector::sample_cdf(const std::vector<double>& cdf,
   require(!cdf.empty(), "Statevector::sample_cdf: empty CDF");
   const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
   // Numerical slack: cdf.back() can fall a few ulps short of 1, so a
-  // draw past it lands on the last state, matching the linear scan.
+  // draw past it lands on the last state.
   if (it == cdf.end()) return cdf.size() - 1;
   return static_cast<std::uint64_t>(it - cdf.begin());
-}
-
-Complex Statevector::inner_product(const Statevector& other) const {
-  require(num_qubits_ == other.num_qubits_,
-          "Statevector::inner_product: qubit count mismatch");
-  const std::size_t dim = amps_.size();
-  return parallel_reduce(
-      dim, Complex{0.0, 0.0},
-      [&](std::size_t begin, std::size_t end) {
-        Complex partial{0.0, 0.0};
-        for (std::size_t z = begin; z < end; ++z) {
-          partial += std::conj(amps_[z]) * other.amps_[z];
-        }
-        return partial;
-      },
-      kernel_threads(dim));
 }
 
 }  // namespace qaoaml::quantum

@@ -1,32 +1,33 @@
-// Dense statevector simulator.
+// Dense statevector: the QAOA state and the kernels that build and read
+// it.
 //
-// Stores all 2^n complex amplitudes and applies gates in place.  Qubit q
-// corresponds to bit q of the basis-state index (little-endian), so basis
-// state |z> has qubit 0 in the least-significant bit.
+// Stores all 2^n complex amplitudes.  Qubit q corresponds to bit q of
+// the basis-state index (little-endian), so basis state |z> has qubit 0
+// in the least-significant bit.  The state is built only by fused QAOA
+// layers (quantum/fused_kernels.hpp) and read as <C>, probabilities or
+// a sampling CDF.
 //
 // This is the "quantum computer" of the QAOA optimization loop, standing
 // in for the paper's QuTiP backend: both produce the exact noiseless
 // state and exact expectation values.
 //
-// Threading: every amplitude-sweep kernel (gate application, fused
-// diagonal multiply, expectation/probability reductions) fans out over
-// blocked amplitude ranges once the state is large enough to amortize
-// dispatch; small states stay serial.  Reductions sum fixed-size block
-// partials in block order, so all results are bit-identical for every
+// Threading: every amplitude sweep (the layer passes, the fills, the
+// expectation/probability/CDF reductions) fans out over blocked
+// amplitude ranges once the state is large enough to amortize dispatch;
+// small states stay serial.  Reductions sum fixed-size block partials
+// in block order, so all results are bit-identical for every
 // QAOAML_THREADS setting.  Individual Statevector objects are not
 // internally synchronized: share them read-only or use one per thread.
 #ifndef QAOAML_QUANTUM_STATEVECTOR_HPP
 #define QAOAML_QUANTUM_STATEVECTOR_HPP
 
-#include <complex>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "quantum/aligned.hpp"
-#include "quantum/gates.hpp"
+#include "quantum/complex.hpp"
 
 namespace qaoaml::quantum {
 
@@ -66,59 +67,28 @@ class Statevector {
   /// constructed directly (every amplitude 2^(-n/2)).
   static Statevector uniform(int num_qubits);
 
-  /// Reinitializes this state to uniform(num_qubits) in place, reusing
-  /// the amplitude buffer when the dimension already matches.  (QAOA
-  /// state builds skip it: their first layer takes uniform_input.)
-  void reset_uniform(int num_qubits);
-
   int num_qubits() const { return num_qubits_; }
   std::size_t dimension() const { return amps_.size(); }
 
   /// The raw amplitudes; data() is kAmplitudeAlignment-byte aligned.
   const AmpVector& amplitudes() const { return amps_; }
 
-  /// Applies a single-qubit gate to `target`.
-  void apply_gate(const Gate1Q& gate, int target);
-
-  /// Applies `gate` to `target` controlled on `control` being |1>.
-  void apply_controlled(const Gate1Q& gate, int control, int target);
-
-  void apply_cnot(int control, int target);
-  void apply_cz(int a, int b);
-
-  /// Fast path for diagonal rotations: RZ(theta) on `target`.
-  void apply_rz(int target, double theta);
-
-  /// Multiplies amplitude z by exp(-i * angle * diag[z]).  This is the
-  /// exact action of exp(-i * angle * C) for a diagonal observable C —
-  /// the fused phase-separation layer of QAOA.
-  void apply_diagonal_evolution(const std::vector<double>& diag, double angle);
-
-  /// Same as apply_diagonal_evolution but for an integer-valued diagonal
-  /// with entries in [0, max_value]: only max_value + 1 distinct phases
-  /// occur, so they are precomputed once (a large win for unweighted
-  /// MaxCut where diag[z] is the cut size).  The diagonal length and the
-  /// entry range are validated before any amplitude is touched; callers
-  /// that apply one precomputed diagonal many times (e.g. once per QAOA
-  /// layer per objective evaluation) may pass entries_prevalidated =
-  /// true to skip the O(2^n) entry-range scan — length and max_value
-  /// are still checked.
-  void apply_diagonal_evolution_integral(const std::vector<int>& diag,
-                                         double angle, int max_value,
-                                         bool entries_prevalidated = false);
-
   /// One fused QAOA layer: exp(-i * angle * C) for the diagonal cost C
   /// followed by the mixer RX(beta) on every qubit, in a few blocked
   /// sweeps instead of num_qubits + 1 gate passes (see
-  /// quantum/fused_kernels.hpp).  Matches apply_diagonal_evolution +
-  /// per-qubit RX to ~1e-15 per amplitude.
+  /// quantum/fused_kernels.hpp).
   void apply_qaoa_layer(const std::vector<double>& diag, double gamma,
                         double beta);
 
   /// Fused layer for an integer-valued diagonal with entries in
-  /// [0, max_value]: the phase table and the validation contract
-  /// (including entries_prevalidated) are exactly those of
-  /// apply_diagonal_evolution_integral.
+  /// [0, max_value]: only max_value + 1 distinct phases occur, so they
+  /// are precomputed once (a large win for unweighted MaxCut, where
+  /// diag[z] is the cut size).  The diagonal length and the entry range
+  /// are validated before any amplitude is touched; callers that apply
+  /// one precomputed diagonal many times (e.g. once per QAOA layer per
+  /// objective evaluation) may pass entries_prevalidated = true to skip
+  /// the O(2^n) entry-range scan — length and max_value are still
+  /// checked.
   void apply_qaoa_layer_integral(const std::vector<int>& diag, double gamma,
                                  int max_value, double beta,
                                  bool entries_prevalidated = false);
@@ -130,9 +100,9 @@ class Statevector {
   /// With `uniform_input` the layer starts a state build: the state
   /// first takes the diagonal's dimension (reusing the buffer when it
   /// matches) and the layer's input is the uniform superposition, which
-  /// its first pass writes tile by tile — the same bits as
-  /// reset_uniform() followed by the layer, one pass over the state
-  /// fewer.  The previous amplitudes are never read.
+  /// its first pass writes tile by tile — the same bits as the layer
+  /// applied to uniform(), one pass over the state fewer.  The previous
+  /// amplitudes are never read.
   void apply_qaoa_layer(const std::vector<double>& diag, double gamma,
                         double beta, const simd::KernelTable& kernels,
                         bool uniform_input = false);
@@ -175,12 +145,6 @@ class Statevector {
   /// buffer holds the full state.
   void expand_mirror();
 
-  /// Hadamard on every qubit (the QAOA state preparation layer).
-  void apply_hadamard_all();
-
-  /// L2 norm of the state (1 for any unitary evolution of |0...0>).
-  double norm() const;
-
   /// |amplitude|^2 for every basis state.
   std::vector<double> probabilities() const;
 
@@ -189,15 +153,6 @@ class Statevector {
   /// summation tree (quantum/simd_kernels.hpp) makes the result
   /// bit-identical across thread counts AND dispatch tiers.
   double expectation_diagonal(const std::vector<double>& diag) const;
-
-  /// Expectation of Z on `target`: P(bit=0) - P(bit=1).
-  double expectation_z(int target) const;
-
-  /// Draws one basis state according to the Born rule (O(2^n) scan).
-  std::uint64_t sample(Rng& rng) const;
-
-  /// Draws `shots` basis states.
-  std::vector<std::uint64_t> sample(Rng& rng, int shots) const;
 
   /// Writes the inclusive prefix sums of |amplitude|^2 into `cdf`
   /// (resized to the dimension, reusing its capacity).  States that fit
@@ -212,18 +167,13 @@ class Statevector {
 
   /// Inverts a cumulative_probabilities() table at `u` in [0, 1):
   /// returns the first z with cdf[z] >= u (binary search, O(n) per
-  /// shot).  For single-block states this is bit-identical to the
-  /// linear-scan sample() for the same uniform draw, because the scan's
-  /// running sum IS that CDF; larger states' blocked CDF can differ
-  /// from the linear scan by final-ulp rounding, deterministically.
+  /// shot), or the last state when u lies past cdf.back() (the sum of
+  /// the probabilities can fall a few ulps short of 1).  This is how
+  /// every sampled evaluation draws its shots, one uniform draw each.
   static std::uint64_t sample_cdf(const std::vector<double>& cdf, double u);
-
-  /// <this|other>; states must have equal qubit counts.
-  Complex inner_product(const Statevector& other) const;
 
  private:
   Statevector() = default;
-  void check_qubit(int q) const;
   void size_for_layer(std::size_t diag_size, bool uniform_input);
   void size_for_mirrored_layer(std::size_t half_size, bool uniform_input);
   /// amps_[begin, end) = value, in blocked parallel ranges.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -87,52 +88,52 @@ void Circuit::append(const Circuit& other) {
   num_parameters_ = std::max(num_parameters_, other.num_parameters_);
 }
 
-void Circuit::apply_to(Statevector& state,
+void Circuit::apply_to(Amplitudes& amps,
                        std::span<const double> params) const {
-  require(state.num_qubits() == num_qubits_,
+  require(amps.size() == std::size_t{1} << num_qubits_,
           "Circuit::apply_to: state qubit count mismatch");
   require(static_cast<int>(params.size()) >= num_parameters_,
           "Circuit::apply_to: not enough parameters bound");
   for (const Operation& op : ops_) {
     switch (op.kind) {
       case GateKind::kH:
-        state.apply_gate(gates::hadamard(), op.q0);
+        apply_gate(amps, gates::hadamard(), op.q0);
         break;
       case GateKind::kX:
-        state.apply_gate(gates::pauli_x(), op.q0);
+        apply_gate(amps, gates::pauli_x(), op.q0);
         break;
       case GateKind::kY:
-        state.apply_gate(gates::pauli_y(), op.q0);
+        apply_gate(amps, gates::pauli_y(), op.q0);
         break;
       case GateKind::kZ:
-        state.apply_gate(gates::pauli_z(), op.q0);
+        apply_gate(amps, gates::pauli_z(), op.q0);
         break;
       case GateKind::kRx:
-        state.apply_gate(gates::rx(op.angle.evaluate(params)), op.q0);
+        apply_gate(amps, gates::rx(op.angle.evaluate(params)), op.q0);
         break;
       case GateKind::kRy:
-        state.apply_gate(gates::ry(op.angle.evaluate(params)), op.q0);
+        apply_gate(amps, gates::ry(op.angle.evaluate(params)), op.q0);
         break;
       case GateKind::kRz:
-        state.apply_rz(op.q0, op.angle.evaluate(params));
+        apply_rz(amps, op.q0, op.angle.evaluate(params));
         break;
       case GateKind::kPhase:
-        state.apply_gate(gates::phase(op.angle.evaluate(params)), op.q0);
+        apply_gate(amps, gates::phase(op.angle.evaluate(params)), op.q0);
         break;
       case GateKind::kCnot:
-        state.apply_cnot(op.q0, op.q1);
+        apply_cnot(amps, op.q0, op.q1);
         break;
       case GateKind::kCz:
-        state.apply_cz(op.q0, op.q1);
+        apply_cz(amps, op.q0, op.q1);
         break;
     }
   }
 }
 
 Statevector Circuit::simulate(std::span<const double> params) const {
-  Statevector state(num_qubits_);
-  apply_to(state, params);
-  return state;
+  Amplitudes amps = zero_state(num_qubits_);
+  apply_to(amps, params);
+  return Statevector::from_amplitudes(std::move(amps));
 }
 
 std::size_t Circuit::count(GateKind kind) const {

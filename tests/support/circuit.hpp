@@ -4,8 +4,9 @@
 // bound to entries of an external parameter vector through affine
 // expressions (angle = offset + coeff * params[index]).  The library
 // never builds one: the tests simulate explicit CNOT/RZ/RX ansatz
-// circuits gate by gate on the Statevector primitives as the reference
-// oracle for the fused QAOA layer (support/qaoa_reference.hpp).
+// circuits gate by gate with the serial loops of support/gates.hpp, as
+// the reference oracle for the fused QAOA layer
+// (support/qaoa_reference.hpp).
 #ifndef QAOAML_TESTS_SUPPORT_CIRCUIT_HPP
 #define QAOAML_TESTS_SUPPORT_CIRCUIT_HPP
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "quantum/statevector.hpp"
+#include "support/gates.hpp"
 
 namespace qaoaml::quantum {
 
@@ -94,8 +96,9 @@ class Circuit {
   /// Appends all operations of `other` (qubit counts must match).
   void append(const Circuit& other);
 
-  /// Applies the circuit to `state`; `params` must cover num_parameters().
-  void apply_to(Statevector& state, std::span<const double> params) const;
+  /// Applies the circuit to `amps` (2^num_qubits() amplitudes);
+  /// `params` must cover num_parameters().
+  void apply_to(Amplitudes& amps, std::span<const double> params) const;
 
   /// Simulates from |0...0>.
   Statevector simulate(std::span<const double> params) const;

@@ -2,17 +2,51 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
+#include "quantum/simd_kernels.hpp"
+#include "support/gates.hpp"
 
 namespace qaoaml::oracle {
 
 namespace {
 
+using quantum::Amplitudes;
+using quantum::Complex;
+
+/// amps[z] *= exp(-i gamma diag[z]) on the active SIMD tier.
+void apply_phase(Amplitudes& amps, const std::vector<double>& diag,
+                 double gamma) {
+  require(diag.size() == amps.size(),
+          "unfused oracle: diagonal length must equal dimension");
+  quantum::simd::active_kernels().phase_general(amps.data(), diag.data(),
+                                                gamma, amps.size());
+}
+
+/// amps[z] *= phases[diag[z]] with phases[k] = exp(-i k gamma), on the
+/// active SIMD tier.
+void apply_phase_integral(Amplitudes& amps, const std::vector<int>& diag,
+                          double gamma, int max_value) {
+  require(diag.size() == amps.size() && max_value >= 0,
+          "unfused oracle: bad integral diagonal");
+  for (const int d : diag) {
+    require(d >= 0 && d <= max_value,
+            "unfused oracle: diagonal entry outside [0, max_value]");
+  }
+  std::vector<Complex> phases(static_cast<std::size_t>(max_value) + 1);
+  for (std::size_t k = 0; k < phases.size(); ++k) {
+    const double phi = -gamma * static_cast<double>(k);
+    phases[k] = Complex{std::cos(phi), std::sin(phi)};
+  }
+  quantum::simd::active_kernels().phase_integral(amps.data(), diag.data(),
+                                                 phases.data(), amps.size());
+}
+
 /// The mixer as n separate RX(beta) gate passes.
-void apply_mixer_gates(quantum::Statevector& sv, double beta) {
+void apply_mixer_gates(Amplitudes& amps, int num_qubits, double beta) {
   const quantum::Gate1Q mixer = quantum::gates::rx(beta);
-  for (int q = 0; q < sv.num_qubits(); ++q) sv.apply_gate(mixer, q);
+  for (int q = 0; q < num_qubits; ++q) quantum::apply_gate(amps, mixer, q);
 }
 
 }  // namespace
@@ -106,11 +140,23 @@ double gate_level_expectation(const ising::IsingModel& model,
       .expectation_diagonal(model.diagonal());
 }
 
-void apply_unfused_layer(quantum::Statevector& sv,
-                         const std::vector<double>& diag, double gamma,
-                         double beta) {
-  sv.apply_diagonal_evolution(diag, gamma);
-  apply_mixer_gates(sv, beta);
+quantum::Statevector unfused_layer(const quantum::Statevector& state,
+                                   const std::vector<double>& diag,
+                                   double gamma, double beta) {
+  Amplitudes amps = quantum::amplitudes_of(state);
+  apply_phase(amps, diag, gamma);
+  apply_mixer_gates(amps, state.num_qubits(), beta);
+  return quantum::Statevector::from_amplitudes(std::move(amps));
+}
+
+quantum::Statevector unfused_layer_integral(const quantum::Statevector& state,
+                                            const std::vector<int>& diag,
+                                            double gamma, int max_value,
+                                            double beta) {
+  Amplitudes amps = quantum::amplitudes_of(state);
+  apply_phase_integral(amps, diag, gamma, max_value);
+  apply_mixer_gates(amps, state.num_qubits(), beta);
+  return quantum::Statevector::from_amplitudes(std::move(amps));
 }
 
 quantum::Statevector unfused_reference_state(const core::MaxCutQaoa& instance,
@@ -118,6 +164,7 @@ quantum::Statevector unfused_reference_state(const core::MaxCutQaoa& instance,
   require(params.size() == instance.num_parameters(),
           "unfused_reference_state: wrong parameter count");
   const int depth = instance.depth();
+  const int n = instance.num_qubits();
   const std::vector<double>& diag = instance.hamiltonian().diagonal();
   // An integral cut spectrum takes the power-table phase separator,
   // exp(-i gamma)^C(z), exactly as the library's state_into does.
@@ -131,19 +178,18 @@ quantum::Statevector unfused_reference_state(const core::MaxCutQaoa& instance,
     }
   }
 
-  quantum::Statevector sv =
-      quantum::Statevector::uniform(instance.num_qubits());
+  Amplitudes amps = quantum::amplitudes_of(quantum::Statevector::uniform(n));
   for (int stage = 0; stage < depth; ++stage) {
     const double gamma = params[static_cast<std::size_t>(stage)];
     const double beta = params[static_cast<std::size_t>(depth + stage)];
     if (int_diag.empty()) {
-      sv.apply_diagonal_evolution(diag, gamma);
+      apply_phase(amps, diag, gamma);
     } else {
-      sv.apply_diagonal_evolution_integral(int_diag, gamma, max_value);
+      apply_phase_integral(amps, int_diag, gamma, max_value);
     }
-    apply_mixer_gates(sv, beta);
+    apply_mixer_gates(amps, n, beta);
   }
-  return sv;
+  return quantum::Statevector::from_amplitudes(std::move(amps));
 }
 
 }  // namespace qaoaml::oracle

@@ -2,11 +2,15 @@
 //
 // The library prepares every QAOA state with the fused layer kernel
 // (Statevector::apply_qaoa_layer*).  The tests check it against two
-// independent constructions built here on the Statevector primitives:
+// independent constructions built here over a plain amplitude vector:
 //  - the unfused path: per stage, the diagonal phase exp(-i gamma C)
-//    and then one RX(beta) gate pass per qubit;
+//    (the dispatched phase_general / phase_integral kernel of
+//    quantum/simd_kernels.hpp over the whole vector) and then one serial
+//    RX(beta) gate pass per qubit (support/gates.hpp);
 //  - the gate-level path: the explicit ansatz circuit of Fig. 1(a),
-//    simulated gate by gate from |0...0>.
+//    simulated gate by gate from |0...0> (support/circuit.hpp).
+// Both return their result as a Statevector (from_amplitudes), so the
+// tests read it with the library's own expectation and accessors.
 //
 // MaxCut ansatz layout per stage i (1-based):
 //   phase separation: for every edge (u, v) with weight w:
@@ -64,11 +68,18 @@ double gate_level_expectation(const core::MaxCutQaoa& instance,
 double gate_level_expectation(const ising::IsingModel& model,
                               std::span<const double> params);
 
-/// One unfused QAOA layer: apply_diagonal_evolution(diag, gamma), then
-/// RX(beta) on every qubit as a separate gate pass.
-void apply_unfused_layer(quantum::Statevector& sv,
-                         const std::vector<double>& diag, double gamma,
-                         double beta);
+/// `state` after one unfused QAOA layer: amps[z] *= exp(-i gamma
+/// diag[z]), then RX(beta) on every qubit as a separate gate pass.
+quantum::Statevector unfused_layer(const quantum::Statevector& state,
+                                   const std::vector<double>& diag,
+                                   double gamma, double beta);
+
+/// The same over an integer diagonal with entries in [0, max_value],
+/// through the power table exp(-i gamma)^diag[z].
+quantum::Statevector unfused_layer_integral(const quantum::Statevector& state,
+                                            const std::vector<int>& diag,
+                                            double gamma, int max_value,
+                                            double beta);
 
 /// |psi(gamma, beta)> of `instance` on the unfused path: the uniform
 /// state, then per stage the diagonal phase (the power-table variant

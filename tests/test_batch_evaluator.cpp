@@ -1,7 +1,6 @@
 // Batched simulation engine tests: gate-path vs fused-path vs
-// batched-path parity, buffer-reuse correctness, norm preservation of
-// the parallel kernels under long random gate sequences, and
-// thread-count determinism of BatchEvaluator results.
+// batched-path parity, buffer-reuse correctness, and thread-count
+// determinism of BatchEvaluator results.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +13,6 @@
 #include "core/qaoa_objective.hpp"
 #include "core/qaoa_solver.hpp"
 #include "graph/generators.hpp"
-#include "quantum/statevector.hpp"
 #include "support/qaoa_reference.hpp"
 
 using namespace qaoaml;
@@ -183,80 +181,6 @@ TEST(BatchEvaluator, MultistartDeterministicAcrossThreadCounts) {
     EXPECT_EQ(one.runs[r].expectation, four.runs[r].expectation);
     EXPECT_EQ(one.runs[r].function_calls, four.runs[r].function_calls);
   }
-}
-
-TEST(ParallelKernels, NormPreservedUnderLongRandomGateSequence) {
-  // 16 qubits crosses the parallel threshold; drive every kernel kind.
-  Rng rng(666);
-  quantum::Statevector sv = quantum::Statevector::uniform(16);
-  const int n = sv.num_qubits();
-  for (int step = 0; step < 300; ++step) {
-    const int q = static_cast<int>(rng.uniform_int(n));
-    int other = static_cast<int>(rng.uniform_int(n - 1));
-    if (other >= q) ++other;
-    switch (rng.uniform_int(7)) {
-      case 0: sv.apply_gate(quantum::gates::hadamard(), q); break;
-      case 1: sv.apply_gate(quantum::gates::rx(rng.uniform(-3.0, 3.0)), q); break;
-      case 2: sv.apply_gate(quantum::gates::ry(rng.uniform(-3.0, 3.0)), q); break;
-      case 3: sv.apply_rz(q, rng.uniform(-3.0, 3.0)); break;
-      case 4: sv.apply_cnot(q, other); break;
-      case 5: sv.apply_cz(q, other); break;
-      default:
-        sv.apply_controlled(quantum::gates::rx(rng.uniform(-3.0, 3.0)), q,
-                            other);
-        break;
-    }
-  }
-  EXPECT_NEAR(sv.norm(), 1.0, 1e-9);
-}
-
-TEST(ParallelKernels, StateBitIdenticalAcrossThreadCounts) {
-  // Element-wise kernels write disjoint amplitudes and reductions are
-  // blocked, so the full state must match bit-for-bit.
-  const auto evolve = [](quantum::Statevector& sv) {
-    Rng rng(13);
-    for (int step = 0; step < 40; ++step) {
-      const int q = static_cast<int>(rng.uniform_int(sv.num_qubits()));
-      sv.apply_gate(quantum::gates::rx(rng.uniform(-3.0, 3.0)), q);
-      sv.apply_rz((q + 1) % sv.num_qubits(), rng.uniform(-3.0, 3.0));
-      sv.apply_cnot(q, (q + 3) % sv.num_qubits());
-    }
-  };
-  quantum::Statevector one = quantum::Statevector::uniform(16);
-  quantum::Statevector eight = quantum::Statevector::uniform(16);
-  {
-    ScopedThreadCount guard(1);
-    evolve(one);
-  }
-  {
-    ScopedThreadCount guard(8);
-    evolve(eight);
-  }
-  const auto& a = one.amplitudes();
-  const auto& b = eight.amplitudes();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t z = 0; z < a.size(); ++z) {
-    EXPECT_EQ(a[z].real(), b[z].real());
-    EXPECT_EQ(a[z].imag(), b[z].imag());
-  }
-  EXPECT_EQ(one.norm(), eight.norm());
-}
-
-TEST(ParallelKernels, ResetUniformReusesBufferAndRestoresState) {
-  quantum::Statevector sv = quantum::Statevector::uniform(10);
-  sv.apply_gate(quantum::gates::rx(0.7), 3);
-  sv.apply_cnot(1, 6);
-  sv.reset_uniform(10);
-  const double amp = 1.0 / std::sqrt(1024.0);
-  for (const auto& a : sv.amplitudes()) {
-    EXPECT_DOUBLE_EQ(a.real(), amp);
-    EXPECT_DOUBLE_EQ(a.imag(), 0.0);
-  }
-  // Resizing resets the qubit count too.
-  sv.reset_uniform(4);
-  EXPECT_EQ(sv.num_qubits(), 4);
-  EXPECT_EQ(sv.dimension(), 16u);
-  EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/qaoa_solver.hpp"
 #include "graph/generators.hpp"
 #include "quantum/statevector.hpp"
+#include "support/gates.hpp"
 #include "support/qaoa_reference.hpp"
 
 namespace qaoaml::core {
@@ -161,7 +162,7 @@ TEST(Objective, StateIsNormalized) {
   const graph::Graph g = graph::erdos_renyi_gnp(8, 0.5, rng);
   const MaxCutQaoa instance(g, 4);
   const quantum::Statevector sv = instance.state(random_angles(4, rng));
-  EXPECT_NEAR(sv.norm(), 1.0, 1e-10);
+  EXPECT_NEAR(quantum::norm(sv.amplitudes()), 1.0, 1e-10);
 }
 
 TEST(Solver, SingleEdgeIsSolvedExactlyAtDepthOne) {

@@ -9,7 +9,7 @@
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "core/two_level_solver.hpp"
-#include "ml/evaluation.hpp"
+#include "ml/metrics.hpp"
 #include "stats/correlation.hpp"
 
 namespace qaoaml::core {

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "ml/dataset.hpp"
-#include "ml/evaluation.hpp"
 #include "ml/gpr.hpp"
 #include "ml/linear_regression.hpp"
 #include "ml/metrics.hpp"
@@ -347,8 +346,10 @@ TEST_P(AllRegressorsTest, LearnsLinearTargetReasonably) {
   const Dataset test = linear_data(50, 0.0, rng);
   auto model = make_regressor(GetParam());
   EXPECT_FALSE(model->fitted());
-  const MetricReport report = evaluate_on_split(*model, train, test);
+  model->fit(train);
   EXPECT_TRUE(model->fitted());
+  const MetricReport report = compute_metrics(
+      test.y, model->predict_many(test.x), test.num_features());
   EXPECT_GT(report.r2, 0.8) << to_string(GetParam());
 }
 
@@ -375,16 +376,6 @@ INSTANTIATE_TEST_SUITE_P(Kinds, AllRegressorsTest,
                                            RegressorKind::kSvr),
                          [](const auto& info) { return to_string(info.param); });
 
-TEST(Evaluation, CrossValidationAveragesFolds) {
-  Rng rng(67);
-  const Dataset data = linear_data(60, 0.05, rng);
-  const MetricReport report =
-      cross_validate(RegressorKind::kLinear, data, 5, rng);
-  EXPECT_GT(report.r2, 0.9);
-  EXPECT_THROW(cross_validate(RegressorKind::kLinear, data, 1, rng),
-               InvalidArgument);
-}
-
 TEST(Evaluation, GprBeatsLinearOnNonlinearTarget) {
   // The paper picks GPR for its accuracy; on a smooth nonlinear target
   // GPR must clearly beat a straight line.
@@ -393,8 +384,12 @@ TEST(Evaluation, GprBeatsLinearOnNonlinearTarget) {
   const Dataset test = sine_data(40, 0.0, rng);
   GPRegressor gpr;
   LinearRegression lm;
-  const MetricReport gpr_report = evaluate_on_split(gpr, train, test);
-  const MetricReport lm_report = evaluate_on_split(lm, train, test);
+  gpr.fit(train);
+  lm.fit(train);
+  const MetricReport gpr_report = compute_metrics(
+      test.y, gpr.predict_many(test.x), test.num_features());
+  const MetricReport lm_report = compute_metrics(
+      test.y, lm.predict_many(test.x), test.num_features());
   EXPECT_LT(gpr_report.mse, lm_report.mse);
 }
 

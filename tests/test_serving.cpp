@@ -20,6 +20,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/angles.hpp"
 #include "core/graph_ensemble.hpp"
 #include "core/parameter_dataset.hpp"
 #include "core/parameter_predictor.hpp"
@@ -179,6 +180,24 @@ TEST_F(ServingTest, DecodeRequestRejectsHostilePayloads) {
         decode_request(request_frame_type(mode), encode_request(request)),
         InvalidArgument);
   }
+
+  // A restart count below one is an error, not a silent single restart.
+  for (Mode mode : {Mode::kWarmStart, Mode::kSolve}) {
+    Request request;
+    request.mode = mode;
+    request.problem = graph::cycle_graph(4);
+    request.level1_restarts = 1;
+    EXPECT_EQ(decode_request(request_frame_type(mode), encode_request(request))
+                  .level1_restarts,
+              1);
+    for (const int restarts : {0, -5}) {
+      request.level1_restarts = restarts;
+      EXPECT_THROW(
+          decode_request(request_frame_type(mode), encode_request(request)),
+          InvalidArgument)
+          << "level1_restarts " << restarts;
+    }
+  }
 }
 
 TEST_F(ServingTest, SampledEvalBlockRoundTripsAndExactStaysOldProtocol) {
@@ -319,6 +338,32 @@ TEST_F(ServingTest, WarmStartEvaluatesThePredictionOnTheInstance) {
   EXPECT_EQ(again.angles, response.angles);
   EXPECT_EQ(again.expectation, response.expectation);
   EXPECT_EQ(again.gamma1, response.gamma1);
+}
+
+TEST_F(ServingTest, WarmStartLevel1IsTheLibrarysSolveLevel1) {
+  // A warm start's level 1 is solve_level1 on the request's seed: the
+  // same depth-1 optimum, and its calls plus the one evaluation at the
+  // predicted angles.
+  Server server(server_config("level1"));
+  Client client(server.socket_path());
+  const graph::Graph problem = sample_problem(12);
+  const std::uint64_t seed = 12;
+  for (const int restarts : {1, 3}) {
+    const Response response =
+        client.warm_start("erdos-renyi", problem, 3, seed, restarts);
+    ASSERT_TRUE(response.ok) << response.error;
+
+    TwoLevelConfig config;
+    config.level1_restarts = restarts;
+    Rng rng(seed);
+    const QaoaRun level1 = solve_level1(problem, config, rng);
+    EXPECT_EQ(response.gamma1, gamma_of(level1.params, 1))
+        << "restarts " << restarts;
+    EXPECT_EQ(response.beta1, beta_of(level1.params, 1))
+        << "restarts " << restarts;
+    EXPECT_EQ(response.function_calls - 1, level1.function_calls)
+        << "restarts " << restarts;
+  }
 }
 
 TEST_F(ServingTest, OneSocketServesExactAndSampledRequests) {

@@ -852,12 +852,14 @@ TEST(AmplitudeAlignment, EveryConstructionPathYields64ByteAlignedData) {
   }
   EXPECT_TRUE(aligned(Statevector::from_amplitudes(std::move(amps))));
 
-  // Reset to a larger register reallocates; the new buffer must keep
-  // the alignment guarantee.
+  // A uniform-input layer over a larger diagonal reallocates; the new
+  // buffer must keep the alignment guarantee.
+  const std::vector<double> diag(std::size_t{1} << 12, 0.5);
+  const quantum::simd::KernelTable& kernels = quantum::simd::active_kernels();
   Statevector sv(3);
-  sv.reset_uniform(12);
+  sv.apply_qaoa_layer(diag, 0.3, 0.2, kernels, /*uniform_input=*/true);
   EXPECT_TRUE(aligned(sv));
-  sv.reset_uniform(12);  // in-place reuse path
+  sv.apply_qaoa_layer(diag, 0.3, 0.2, kernels, true);  // in-place reuse path
   EXPECT_TRUE(aligned(sv));
 }
 
