@@ -8,8 +8,8 @@
 //         1       200   9321.4      0.105     0.212        0
 //         4       200  24817.9      0.152     0.388        0
 //
-//   bench_serving --socket /tmp/qaoad.sock --clients 1,2,4 \
-//       --requests 200 --family erdos-renyi --depth 3
+//   bench_serving --socket /tmp/qaoad.sock --clients 1,2,4
+//       --requests 200 --family erdos-renyi --depth 3   (one command)
 //
 // Requests vary deterministically (gamma/beta swept across the QAOA
 // domain per request index), so two runs against the same bank load the

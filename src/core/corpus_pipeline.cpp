@@ -75,7 +75,7 @@ ShardReport CorpusPipeline::run_shard(const CorpusShardConfig& config) {
       CorpusCodec{config.dataset}, config.shard, config.directory,
       static_cast<std::size_t>(config.dataset.num_graphs), config.progress);
   return ShardReport{run.generate([&](std::size_t unit) {
-                       return generate_instance_record(config.dataset, unit);
+                       return instance_record_tasks(config.dataset, unit);
                      }),
                      /*manifest_path=*/{}};
 }
@@ -100,7 +100,7 @@ std::vector<InstanceRecord> CorpusPipeline::generate_records(
       shard_units(static_cast<std::size_t>(dataset.num_graphs), shard);
   std::vector<InstanceRecord> records(units.size());
   run_units_in_order(units, [&](std::size_t unit, std::size_t slot) {
-    records[slot] = generate_instance_record(dataset, unit);
+    return store_result(instance_record_tasks(dataset, unit), records[slot]);
   });
   return records;
 }

@@ -5,11 +5,12 @@
 // expensive offline artifact in the system: every unit is a full
 // multistart QAOA optimization sweep over depths 1..max_depth.  Unit g
 // is the g-th corpus instance, a pure function of (DatasetConfig, g)
-// via generate_instance_record, so units can be computed anywhere, in
+// via instance_record_tasks, so units can be computed anywhere, in
 // any order, on any thread count, and always produce the same bits.
 //
 // Each shard runs on the generic engine (core/sharded_run.hpp): units
-// assigned round-robin, computed on the thread pool, committed in
+// assigned round-robin, each one's restarts spread over the thread
+// pool as tasks (instance_record_tasks), committed in
 // ascending order as one line each to `corpus.shard<i>of<n>.txt`
 // (the record's dataset-format "graph" and "params" lines joined by
 // ';'), and resumed from the longest valid prefix after a kill.  That

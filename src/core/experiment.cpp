@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <memory>
 #include <numeric>
 #include <sstream>
 
@@ -45,54 +46,82 @@ void validate_sweep(const ParameterDataset& dataset,
   }
 }
 
-/// Computes one (cell, graph) unit.  Pure function of (dataset, config,
-/// unit): the RNG stream is keyed by (seed, graph id, depth, optimizer)
-/// only, so results are bit-identical for every thread count, shard
-/// layout and scheduling order — the same purity contract corpus units
-/// have, which is what makes the Table-I sweep shardable at all.
-GraphStats compute_unit(const ParameterDataset& dataset,
-                        const std::vector<std::size_t>& test_records,
-                        const ParameterPredictor& predictor,
-                        const ExperimentConfig& config,
-                        const std::vector<Cell>& cells, std::size_t unit) {
+/// One (cell, graph) unit's runs, planned: the naive random-init runs
+/// and the two-level repeats with all their random inputs drawn, and
+/// one (AR, FC) slot per run.
+struct UnitRuns {
+  MaxCutQaoa instance;  ///< the naive arm's, at the target depth
+  TwoLevelConfig two_level;
+  std::vector<RandomStarts> naive;
+  std::vector<TwoLevelDraws> ml;
+  std::vector<double> naive_ar, naive_fc, ml_ar, ml_fc;
+};
+
+/// Plans one (cell, graph) unit: one task per naive run and per ML
+/// repeat.  Pure function of (dataset, config, unit): the RNG stream is
+/// keyed by (seed, graph id, depth, optimizer) only, and every run's
+/// inputs are drawn from it here, in the order the runs would consume
+/// them one after another — so results are bit-identical for every
+/// thread count, shard layout and scheduling order, the same purity
+/// contract corpus units have, which is what makes the Table-I sweep
+/// shardable at all.
+UnitTasks<GraphStats> plan_unit(const ParameterDataset& dataset,
+                                const std::vector<std::size_t>& test_records,
+                                const ParameterPredictor& predictor,
+                                const ExperimentConfig& config,
+                                const std::vector<Cell>& cells,
+                                std::size_t unit) {
   const std::size_t graphs = test_records.size();
   const Cell& cell = cells[unit / graphs];
-  const std::size_t t = unit % graphs;
-  const InstanceRecord& record = dataset.records()[test_records[t]];
-  // Deterministic per-(cell, graph) stream.
+  const InstanceRecord& record =
+      dataset.records()[test_records[unit % graphs]];
   Rng rng(config.seed ^
           (static_cast<std::uint64_t>(record.id) << 32) ^
           (static_cast<std::uint64_t>(cell.target_depth) << 8) ^
           static_cast<std::uint64_t>(cell.optimizer));
 
-  const MaxCutQaoa instance(record.problem, cell.target_depth);
-
-  // Naive arm: per-run statistics over random initializations.
-  std::vector<double> naive_ar;
-  std::vector<double> naive_fc;
-  for (int run = 0; run < config.naive_runs; ++run) {
-    const QaoaRun r = solve_random_init(instance, cell.optimizer, rng,
-                                        config.eval, config.options);
-    naive_ar.push_back(r.approximation_ratio);
-    naive_fc.push_back(static_cast<double>(r.function_calls));
-  }
-
-  // ML arm: the two-level flow (level-1 randomness repeats).
   TwoLevelConfig two_level;
   two_level.optimizer = cell.optimizer;
   two_level.options = config.options;
   two_level.eval = config.eval;
-  std::vector<double> ml_ar;
-  std::vector<double> ml_fc;
-  for (int run = 0; run < config.ml_repeats; ++run) {
-    const AcceleratedRun r = solve_two_level(
-        record.problem, cell.target_depth, predictor, two_level, rng);
-    ml_ar.push_back(r.final.approximation_ratio);
-    ml_fc.push_back(static_cast<double>(r.total_function_calls));
+  const auto naive = static_cast<std::size_t>(config.naive_runs);
+  const auto ml = static_cast<std::size_t>(config.ml_repeats);
+  const auto runs = std::make_shared<UnitRuns>(UnitRuns{
+      MaxCutQaoa(record.problem, cell.target_depth), two_level, {}, {},
+      std::vector<double>(naive), std::vector<double>(naive),
+      std::vector<double>(ml), std::vector<double>(ml)});
+  for (std::size_t run = 0; run < naive; ++run) {
+    runs->naive.emplace_back(cell.target_depth, 1, config.eval, rng);
+  }
+  for (std::size_t run = 0; run < ml; ++run) {
+    runs->ml.emplace_back(two_level, rng);
   }
 
-  return GraphStats{stats::mean(naive_ar), stats::mean(naive_fc),
-                    stats::mean(ml_ar), stats::mean(ml_fc)};
+  return UnitTasks<GraphStats>{
+      naive + ml,
+      [runs, naive, &predictor](std::size_t task) {
+        UnitRuns& u = *runs;
+        if (task < naive) {
+          const RandomStarts& draw = u.naive[task];
+          const QaoaRun r = solve_from_seeded(
+              u.instance, u.two_level.optimizer, draw.starts[0],
+              u.two_level.eval, draw.seeds[0], u.two_level.options);
+          u.naive_ar[task] = r.approximation_ratio;
+          u.naive_fc[task] = static_cast<double>(r.function_calls);
+        } else {
+          const std::size_t repeat = task - naive;
+          const AcceleratedRun r =
+              solve_two_level(u.instance.problem_graph(), u.instance.depth(),
+                              predictor, u.two_level, u.ml[repeat]);
+          u.ml_ar[repeat] = r.final.approximation_ratio;
+          u.ml_fc[repeat] = static_cast<double>(r.total_function_calls);
+        }
+      },
+      [runs] {
+        return GraphStats{stats::mean(runs->naive_ar),
+                          stats::mean(runs->naive_fc),
+                          stats::mean(runs->ml_ar), stats::mean(runs->ml_fc)};
+      }};
 }
 
 /// Aggregates the flat per-unit stats into the per-cell rows (per-graph
@@ -202,13 +231,12 @@ std::vector<TableRow> run_table1(const ParameterDataset& dataset,
   require(predictor.trained(), "run_table1: predictor not trained");
   validate_sweep(dataset, test_records, config);
 
-  // Flatten the sweep into (cell, graph) work units and dispatch them
-  // through the corpus pipeline's scheduler as ONE asynchronous wave:
-  // no barrier between table cells, so a slow straggler in one cell no
-  // longer idles the pool while the next cell waits to start.  Each
-  // unit's RNG stream depends only on (seed, graph id, depth,
-  // optimizer), exactly as before, so the flattening changes scheduling
-  // but not a single reported number.
+  // Flatten the sweep into (cell, graph) units and dispatch their runs
+  // as ONE asynchronous wave: no barrier between table cells, and no
+  // unit's runs wait on each other, so one slow cell (Nelder-Mead at the
+  // deepest depth) cannot idle the pool.  Each unit's inputs come
+  // from its own (seed, graph id, depth, optimizer) stream, so the
+  // scheduling changes no reported number.
   const std::vector<Cell> cells = sweep_cells(config);
   const std::size_t graphs = test_records.size();
   std::vector<GraphStats> per_unit(cells.size() * graphs);
@@ -216,8 +244,9 @@ std::vector<TableRow> run_table1(const ParameterDataset& dataset,
   std::vector<std::size_t> units(per_unit.size());
   std::iota(units.begin(), units.end(), std::size_t{0});
   run_units_in_order(units, [&](std::size_t unit, std::size_t) {
-    per_unit[unit] =
-        compute_unit(dataset, test_records, predictor, config, cells, unit);
+    return store_result(
+        plan_unit(dataset, test_records, predictor, config, cells, unit),
+        per_unit[unit]);
   });
 
   return aggregate_rows(cells, graphs, per_unit);
@@ -249,7 +278,7 @@ Table1ShardReport run_table1_shard(const ParameterDataset& dataset,
                               shard, directory,
                               cells.size() * test_records.size(), progress);
   return run.generate([&](std::size_t unit) {
-    return compute_unit(dataset, test_records, predictor, config, cells, unit);
+    return plan_unit(dataset, test_records, predictor, config, cells, unit);
   });
 }
 

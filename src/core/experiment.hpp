@@ -8,11 +8,15 @@
 //    from its own RNG stream keyed by (seed, graph id, depth,
 //    optimizer), so results are bit-identical for every thread count
 //    and scheduling order.
-//  - **Scheduling.**  The whole sweep is flattened into one
-//    asynchronous wave of (cell, graph) units on the persistent thread
-//    pool (core/sharded_run.hpp's run_units_in_order) — there is no
-//    barrier between table cells.  run_table1 must not be called from
-//    inside a parallel_* body.
+//  - **Scheduling.**  Units are the shard, file and merge granularity;
+//    runs are the scheduling granularity.  A (cell, graph) unit is
+//    planned by drawing every run's random inputs from its keyed stream
+//    up front, and its naive runs and ML repeats then go to the
+//    persistent thread pool as separate tasks
+//    (core/sharded_run.hpp's run_units_in_order).  The whole sweep is
+//    one asynchronous wave: there is no barrier between table cells,
+//    and one unit's runs do not wait on each other.  run_table1 must
+//    not be called from inside a parallel_* body.
 //  - **Units.**  FC counts are raw objective-function calls (the
 //    paper's run-time metric); AR is expectation / exact MaxCut, and
 //    all angles handled internally follow core/angles.hpp (radians,

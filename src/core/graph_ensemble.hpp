@@ -116,7 +116,7 @@ std::int64_t max_edges(const EnsembleConfig& config, int num_nodes);
 /// Draws one problem instance.  Pure function of (config, rng state):
 /// thread count, shard layout and call site cannot change the result.
 /// The rng should be the per-instance stream seeded from
-/// (dataset seed, instance index) — see generate_instance_record.
+/// (dataset seed, instance index) — see instance_record_tasks.
 graph::Graph sample_graph(const EnsembleConfig& config, int num_nodes,
                           Rng& rng);
 

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <numeric>
 #include <sstream>
 
@@ -53,8 +55,25 @@ void validate(const DatasetConfig& config) {
           "graph family");
 }
 
-InstanceRecord generate_instance_record(const DatasetConfig& config,
-                                        std::size_t index) {
+namespace {
+
+/// A planned corpus record: the record so far (id, graph, max cut), one
+/// instance and one set of drawn inputs per depth, and one run slot per
+/// task.
+struct RecordRuns {
+  DatasetConfig config;
+  InstanceRecord record;
+  std::vector<MaxCutQaoa> instances;  ///< depth p at [p - 1]
+  std::vector<RandomStarts> restarts;
+  std::vector<std::uint64_t> ramp_seeds;
+  std::vector<std::uint64_t> interp_seeds;  ///< [0] unused: no INTERP at p = 1
+  std::vector<QaoaRun> runs;  ///< per depth: the restarts, then the ramp
+};
+
+}  // namespace
+
+UnitTasks<InstanceRecord> instance_record_tasks(const DatasetConfig& config,
+                                                std::size_t index) {
   validate(config);
 
   // Per-graph deterministic stream: independent of thread scheduling.
@@ -70,58 +89,93 @@ InstanceRecord generate_instance_record(const DatasetConfig& config,
     // attempt count (even millions) passes, and hitting it means the
     // config could not have produced a corpus in any usable time.
     require(++attempts < 10'000'000,
-            "generate_instance_record: cannot reach min_edges");
+            "instance_record_tasks: cannot reach min_edges");
     problem = sample_graph(config.ensemble, config.num_nodes, rng);
   }
 
-  InstanceRecord record;
+  const auto plan = std::make_shared<RecordRuns>();
+  plan->config = config;
+  InstanceRecord& record = plan->record;
   record.id = static_cast<int>(index);
-  record.problem = problem;
   record.max_cut = graph::max_cut_brute_force(problem).value;
-
+  record.problem = std::move(problem);
+  // Every draw a depth makes, whatever its solves return: so all of
+  // them can be made now.  Seed refinements sample too (when
+  // configured), with streams drawn only in sampled mode, so exact
+  // corpora keep their exact bits.
+  const auto draw_seed = [&] { return config.eval.sampled() ? rng() : 0; };
   for (int p = 1; p <= config.max_depth; ++p) {
-    const MaxCutQaoa instance(problem, p);
-    MultistartRuns runs =
-        solve_multistart(instance, config.optimizer, config.restarts, rng,
-                         config.eval, config.options);
-    // Heuristic seeds on top of the random restarts: the linear ramp
-    // and the INTERP bootstrap from the depth-(p-1) optimum (Zhou et
-    // al., the paper's ref. [5]).  Pure random multistart frequently
-    // stalls in shallow local basins at p >= 3, which would corrupt
-    // the parameter *trends* the ML model learns from; taking the best
-    // of {random..., ramp, interp} keeps the corpus at the true optima
-    // without touching the naive Table-I baseline (still pure random).
-    std::vector<std::vector<double>> seeds;
-    seeds.push_back(linear_ramp_angles(p));
-    if (p >= 2) {
-      seeds.push_back(
-          interp_angles(record.optimal_params[static_cast<std::size_t>(p - 2)]));
-    }
-    for (const std::vector<double>& seed : seeds) {
-      // Seed refinements sample too (when configured): their
-      // measurement streams come from the same per-graph rng, drawn
-      // only in sampled mode so exact corpora keep their exact bits.
-      const std::uint64_t stream_seed = config.eval.sampled() ? rng() : 0;
-      QaoaRun run = solve_from_seeded(instance, config.optimizer, seed,
-                                      config.eval, stream_seed,
-                                      config.options);
-      runs.total_function_calls += run.function_calls;
-      // ">= - eps": when a random restart found an exact symmetry copy
-      // of the seeded optimum (equal energy up to the optimizer's own
-      // ftol resolution), prefer the seeded one — it lives in the
-      // canonical pattern basin the ML model learns.
-      const double tie_eps =
-          1e-4 * std::max(1.0, std::abs(runs.best.expectation));
-      if (run.expectation >= runs.best.expectation - tie_eps) {
-        runs.best = std::move(run);
-      }
-    }
-    record.optimal_params.push_back(runs.best.params);
-    record.expectation.push_back(runs.best.expectation);
-    record.approximation_ratio.push_back(runs.best.approximation_ratio);
-    record.generation_fc.push_back(runs.total_function_calls);
+    plan->instances.emplace_back(record.problem, p);
+    plan->restarts.emplace_back(p, config.restarts, config.eval, rng);
+    plan->ramp_seeds.push_back(draw_seed());
+    plan->interp_seeds.push_back(p >= 2 ? draw_seed() : 0);
   }
-  return record;
+  const auto per_depth = static_cast<std::size_t>(config.restarts) + 1;
+  plan->runs.resize(static_cast<std::size_t>(config.max_depth) * per_depth);
+
+  return UnitTasks<InstanceRecord>{
+      plan->runs.size(),
+      [plan, per_depth](std::size_t task) {
+        const DatasetConfig& config = plan->config;
+        // Deepest depth first: its solves are the longest, and the pool
+        // balances best when the short ones come last.
+        const std::size_t d = plan->instances.size() - 1 - task / per_depth;
+        const std::size_t k = task % per_depth;
+        const MaxCutQaoa& instance = plan->instances[d];
+        const bool ramp = k + 1 == per_depth;
+        plan->runs[d * per_depth + k] = solve_from_seeded(
+            instance, config.optimizer,
+            ramp ? linear_ramp_angles(instance.depth())
+                 : plan->restarts[d].starts[k],
+            config.eval,
+            ramp ? plan->ramp_seeds[d] : plan->restarts[d].seeds[k],
+            config.options);
+      },
+      [plan, per_depth] {
+        const DatasetConfig& config = plan->config;
+        InstanceRecord& record = plan->record;
+        for (std::size_t d = 0; d < plan->instances.size(); ++d) {
+          const auto first =
+              plan->runs.begin() + static_cast<std::ptrdiff_t>(d * per_depth);
+          MultistartRuns runs = reduce_multistart(std::vector<QaoaRun>(
+              std::make_move_iterator(first),
+              std::make_move_iterator(first + static_cast<std::ptrdiff_t>(
+                                                  per_depth - 1))));
+          // Heuristic seeds on top of the random restarts: the linear
+          // ramp and the INTERP bootstrap from the depth-(p-1) optimum
+          // (Zhou et al., the paper's ref. [5]).  Pure random multistart
+          // frequently stalls in shallow local basins at p >= 3, which
+          // would corrupt the parameter *trends* the ML model learns
+          // from; taking the best of {random..., ramp, interp} keeps the
+          // corpus at the true optima without touching the naive
+          // Table-I baseline (still pure random).
+          const auto consider = [&](QaoaRun run) {
+            runs.total_function_calls += run.function_calls;
+            // ">= - eps": when a random restart found an exact symmetry
+            // copy of the seeded optimum (equal energy up to the
+            // optimizer's own ftol resolution), prefer the seeded one —
+            // it lives in the canonical pattern basin the ML model
+            // learns.
+            const double tie_eps =
+                1e-4 * std::max(1.0, std::abs(runs.best.expectation));
+            if (run.expectation >= runs.best.expectation - tie_eps) {
+              runs.best = std::move(run);
+            }
+          };
+          consider(std::move(plan->runs[(d + 1) * per_depth - 1]));
+          if (d >= 1) {
+            consider(solve_from_seeded(
+                plan->instances[d], config.optimizer,
+                interp_angles(record.optimal_params[d - 1]), config.eval,
+                plan->interp_seeds[d], config.options));
+          }
+          record.optimal_params.push_back(runs.best.params);
+          record.expectation.push_back(runs.best.expectation);
+          record.approximation_ratio.push_back(runs.best.approximation_ratio);
+          record.generation_fc.push_back(runs.total_function_calls);
+        }
+        return std::move(record);
+      }};
 }
 
 ParameterDataset ParameterDataset::generate(const DatasetConfig& config) {
@@ -214,7 +268,7 @@ bool consume_record_line(const std::string& line,
     // file must surface as a malformed-line Error (discard and
     // regenerate), not a multi-GB Graph allocation or a confusing
     // failure deep inside max_cut_brute_force.  30 nodes is the exact
-    // MaxCut limit generate_instance_record enforces, so no valid file
+    // MaxCut limit validate() enforces on generation, so no valid file
     // can exceed it.
     require(!ls.fail() && nodes >= 1 && nodes <= 30,
             "ParameterDataset: implausible node count");

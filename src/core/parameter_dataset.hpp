@@ -10,7 +10,7 @@
 //
 // Contracts:
 //  - **Determinism.**  Record g is a pure function of (DatasetConfig, g)
-//    (see generate_instance_record): generation is bit-identical for
+//    (see instance_record_tasks): generation is bit-identical for
 //    every thread count, shard layout and call order.  save() output is
 //    therefore byte-identical across runs, which is what the corpus
 //    pipeline's merge guarantee (core/corpus_pipeline.hpp) and the
@@ -36,6 +36,7 @@
 
 #include "core/graph_ensemble.hpp"
 #include "core/qaoa_solver.hpp"
+#include "core/sharded_run.hpp"
 #include "graph/graph.hpp"
 #include "optim/optimizer.hpp"
 
@@ -141,15 +142,27 @@ std::string to_string(const DatasetConfig& config);
 /// config errors instantly instead of clobbering completed shards.
 void validate(const DatasetConfig& config);
 
-/// Generates the record of corpus unit `index` (the index-th graph):
-/// one instance sampled from config.ensemble plus its best multistart
-/// optimum at every depth 1..config.max_depth.  The result depends only on
-/// (config, index) — never on thread count, shard layout or call order
-/// — which is what makes sharded corpus generation bit-reproducible
-/// (core/corpus_pipeline.hpp).  Safe to call concurrently for distinct
-/// indices.
-InstanceRecord generate_instance_record(const DatasetConfig& config,
-                                        std::size_t index);
+/// The record of corpus unit `index` (the index-th graph), as thread-pool
+/// tasks (core/sharded_run.hpp's run_units_in_order): one instance
+/// sampled from config.ensemble plus its best multistart optimum at
+/// every depth 1..config.max_depth.  The record depends only on (config,
+/// index) — never on thread count, shard layout, call order or task
+/// order — which is what makes sharded corpus generation
+/// bit-reproducible (core/corpus_pipeline.hpp).
+///
+/// Planning samples the graph and draws every random input from the
+/// unit's stream, in the order a one-after-another generation consumes
+/// them (per depth: the restarts' starts, their stream seeds, the ramp
+/// seed, the INTERP seed; seeds only when sampling).  One task per
+/// (depth, random restart) and one per depth's linear-ramp seed,
+/// max_depth * (restarts + 1) in all; finish reduces each depth in
+/// restart order, then applies the ramp and the INTERP bootstrap from
+/// the depth-(p-1) optimum, which it solves itself because each link
+/// needs the one before.  The plan holds a copy of
+/// `config` and one instance per depth until finish returns.  Validates
+/// `config` first.
+UnitTasks<InstanceRecord> instance_record_tasks(const DatasetConfig& config,
+                                                std::size_t index);
 
 namespace detail {
 

@@ -102,43 +102,27 @@ QaoaRun solve_random_init(const DiagonalQaoa& instance,
                           optim::OptimizerKind optimizer, Rng& rng,
                           const EvalSpec& eval,
                           const optim::Options& options) {
-  const std::vector<double> x0 = random_angles(instance.depth(), rng);
-  // Drawn after the starting point, and only when sampling: exact specs
-  // consume exactly the draws of the exact overload above.
-  const std::uint64_t stream_seed = eval.sampled() ? rng() : 0;
-  return solve_from_seeded(instance, optimizer, x0, eval, stream_seed,
-                           options);
+  const RandomStarts draw(instance.depth(), 1, eval, rng);
+  return solve_from_seeded(instance, optimizer, draw.starts[0], eval,
+                           draw.seeds[0], options);
 }
 
-namespace {
-
-/// A multistart's starting points and measurement-stream seeds, drawn
-/// from `rng` up front in restart order: every start, then (sampled
-/// specs only) every seed.  Both multistart paths consume this one
-/// sequence, and exact specs leave it identical to the exact overloads.
-struct Restarts {
-  std::vector<std::vector<double>> starts;
-  std::vector<std::uint64_t> seeds;
-
-  Restarts(const DiagonalQaoa& instance, int restarts, const EvalSpec& eval,
-           Rng& rng) {
-    require(restarts >= 1, "solve_multistart: need at least one restart");
-    validate(eval);
-    const auto count = static_cast<std::size_t>(restarts);
-    starts.reserve(count);
-    for (std::size_t r = 0; r < count; ++r) {
-      starts.push_back(random_angles(instance.depth(), rng));
-    }
-    seeds.assign(count, 0);
-    if (eval.sampled()) {
-      for (std::uint64_t& seed : seeds) seed = rng();
-    }
+RandomStarts::RandomStarts(int depth, int count, const EvalSpec& eval,
+                           Rng& rng) {
+  require(count >= 1, "solve_multistart: need at least one restart");
+  validate(eval);
+  const auto n = static_cast<std::size_t>(count);
+  starts.reserve(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    starts.push_back(random_angles(depth, rng));
   }
-};
+  seeds.assign(n, 0);
+  if (eval.sampled()) {
+    for (std::uint64_t& seed : seeds) seed = rng();
+  }
+}
 
-/// Reduces per-restart runs in restart order, so best/total are
-/// identical for every thread count (ties keep the earliest restart).
-MultistartRuns reduce_runs(std::vector<QaoaRun> runs) {
+MultistartRuns reduce_multistart(std::vector<QaoaRun> runs) {
   MultistartRuns out;
   for (QaoaRun& run : runs) {
     out.total_function_calls += run.function_calls;
@@ -149,8 +133,6 @@ MultistartRuns reduce_runs(std::vector<QaoaRun> runs) {
   }
   return out;
 }
-
-}  // namespace
 
 MultistartRuns solve_multistart(const DiagonalQaoa& instance,
                                 optim::OptimizerKind optimizer, int restarts,
@@ -163,8 +145,21 @@ MultistartRuns solve_multistart(const DiagonalQaoa& instance,
                                 optim::OptimizerKind optimizer, int restarts,
                                 Rng& rng, const EvalSpec& eval,
                                 const optim::Options& options) {
-  const Restarts plan(instance, restarts, eval, rng);
+  return solve_multistart(instance, optimizer,
+                          RandomStarts(instance.depth(), restarts, eval, rng),
+                          eval, options);
+}
 
+MultistartRuns solve_multistart(const DiagonalQaoa& instance,
+                                optim::OptimizerKind optimizer,
+                                const RandomStarts& draws,
+                                const EvalSpec& eval,
+                                const optim::Options& options) {
+  validate(eval);
+  for (const std::vector<double>& start : draws.starts) {
+    require(start.size() == instance.num_parameters(),
+            "solve_multistart: wrong parameter count");
+  }
   // One batch over the pool: contiguous restart chunks (one per worker,
   // BatchEvaluator-style) run concurrently, and every restart within a
   // chunk shares that chunk's workspace — O(threads) 2^n allocations per
@@ -172,17 +167,17 @@ MultistartRuns solve_multistart(const DiagonalQaoa& instance,
   // function of its (start, stream seed), both fixed up front, and the
   // workspace is fully rewritten per evaluation, so chunk boundaries
   // (i.e. the thread count) cannot change a single bit of any run.
-  std::vector<QaoaRun> runs(plan.starts.size());
+  std::vector<QaoaRun> runs(draws.starts.size());
   parallel_for_chunks(
       runs.size(), static_cast<std::size_t>(default_thread_count()),
       [&](std::size_t begin, std::size_t end) {
         Workspace workspace(instance);
         for (std::size_t r = begin; r < end; ++r) {
-          runs[r] = solve_in(workspace, instance, optimizer, plan.starts[r],
-                             eval, plan.seeds[r], options);
+          runs[r] = solve_in(workspace, instance, optimizer, draws.starts[r],
+                             eval, draws.seeds[r], options);
         }
       });
-  return reduce_runs(std::move(runs));
+  return reduce_multistart(std::move(runs));
 }
 
 MultistartRuns solve_multistart_sequential(const DiagonalQaoa& instance,
@@ -198,13 +193,13 @@ MultistartRuns solve_multistart_sequential(const DiagonalQaoa& instance,
                                            int restarts, Rng& rng,
                                            const EvalSpec& eval,
                                            const optim::Options& options) {
-  const Restarts plan(instance, restarts, eval, rng);
-  std::vector<QaoaRun> runs(plan.starts.size());
+  const RandomStarts draws(instance.depth(), restarts, eval, rng);
+  std::vector<QaoaRun> runs(draws.starts.size());
   for (std::size_t r = 0; r < runs.size(); ++r) {
-    runs[r] = solve_from_seeded(instance, optimizer, plan.starts[r], eval,
-                                plan.seeds[r], options);
+    runs[r] = solve_from_seeded(instance, optimizer, draws.starts[r], eval,
+                                draws.seeds[r], options);
   }
-  return reduce_runs(std::move(runs));
+  return reduce_multistart(std::move(runs));
 }
 
 }  // namespace qaoaml::core

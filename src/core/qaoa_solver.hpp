@@ -77,6 +77,22 @@ struct MultistartRuns {
   int total_function_calls = 0;
 };
 
+/// The random inputs of `count` random-init runs at `depth`, drawn from
+/// `rng` up front: every starting point, then (sampled specs only) every
+/// measurement-stream seed.  This is the order solve_multistart consumes
+/// them in, and with count = 1 the order of solve_random_init; exact
+/// specs draw only the starting points.  Throws unless count >= 1.
+struct RandomStarts {
+  std::vector<std::vector<double>> starts;
+  std::vector<std::uint64_t> seeds;  ///< all 0 under an exact spec
+
+  RandomStarts(int depth, int count, const EvalSpec& eval, Rng& rng);
+};
+
+/// Reduces runs given in restart order: best is the first run with the
+/// highest expectation, total the sum of their calls.
+MultistartRuns reduce_multistart(std::vector<QaoaRun> runs);
+
 /// Runs `restarts` optimizations from random starting points and keeps
 /// the best.  The restarts are evaluated as ONE batch over the thread
 /// pool, BatchEvaluator-style: contiguous restart chunks are dispatched
@@ -99,6 +115,15 @@ MultistartRuns solve_multistart(const DiagonalQaoa& instance,
 MultistartRuns solve_multistart(const DiagonalQaoa& instance,
                                 optim::OptimizerKind optimizer, int restarts,
                                 Rng& rng, const EvalSpec& eval,
+                                const optim::Options& options = {});
+
+/// solve_multistart from inputs drawn beforehand (RandomStarts at
+/// instance.depth() under the same `eval`): the Rng& overloads draw,
+/// then call this.
+MultistartRuns solve_multistart(const DiagonalQaoa& instance,
+                                optim::OptimizerKind optimizer,
+                                const RandomStarts& draws,
+                                const EvalSpec& eval,
                                 const optim::Options& options = {});
 
 /// The plain one-restart-after-another reference path (one solve_from

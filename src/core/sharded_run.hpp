@@ -47,6 +47,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -84,26 +85,71 @@ std::vector<std::size_t> shard_units(std::size_t total, const ShardSpec& shard);
 using ShardProgressFn =
     std::function<void(std::size_t done, std::size_t total)>;
 
+/// One unit's work as the pool schedules it: `count` tasks, run(task)
+/// for every task in [0, count) — concurrently and in any order — then
+/// finish() once, which reduces the task results (in task order, so the
+/// result cannot depend on scheduling) into the unit's result.  The
+/// unit's state lives in the closures, typically one shared_ptr that
+/// both capture; it is freed when finish returns.
+template <typename Result>
+struct UnitTasks {
+  std::size_t count = 1;
+  std::function<void(std::size_t task)> run;
+  std::function<Result()> finish;  ///< may be empty when Result is void
+};
+
+/// `tasks` with finish storing its result in `out`.
+template <typename Result>
+UnitTasks<void> store_result(UnitTasks<Result> tasks, Result& out) {
+  return UnitTasks<void>{
+      tasks.count, std::move(tasks.run),
+      [finish = std::move(tasks.finish), &out] { out = finish(); }};
+}
+
 /// Asynchronous in-order unit scheduler, the pipelines' core primitive.
 ///
-/// Runs `run(unit, slot)` for every entry of `units` (slot = position in
-/// the list) across the persistent thread pool.  As the completed
-/// prefix of the list grows, `commit(unit, slot)` is invoked for each
-/// newly covered entry — always in list order, never concurrently, on
-/// whichever worker completed the prefix.  Commits therefore overlap
-/// the remaining compute, which is what lets a shard stream results to
-/// disk while it is still optimizing.
+/// Units are what is committed; tasks are what is scheduled.
+/// `plan(unit, slot)` splits each entry of `units` (slot = position in
+/// the list) into tasks, and the persistent thread pool runs the
+/// (unit, task) pairs in unit-major order: every task of an entry is
+/// claimed before any task of the next.  A unit is planned when the
+/// first of its tasks is claimed, under the dispatch lock, so plan
+/// should only draw the unit's inputs and leave the work to the tasks.
+/// A unit's finish runs once, on the worker that completed its last
+/// task, outside every lock.  As the finished prefix of the list grows,
+/// `commit(unit, slot)` is invoked for each newly covered entry —
+/// always in list order, never concurrently, on whichever worker
+/// completed the prefix.  Commits therefore overlap the remaining
+/// compute, which is what lets a shard stream results to disk while it
+/// is still optimizing.
 ///
 /// `units` must be what the commits assume it is: callers pass it
-/// sorted.  An exception from `run` or `commit` aborts the dispatch:
-/// units not yet started are skipped, the first exception is rethrown
-/// once in-flight units finish, and already-issued commits stay
-/// issued.  An empty `commit` skips the commit phase entirely.
+/// sorted.  An exception from plan, a task, finish or commit aborts the
+/// dispatch: tasks not yet started are skipped, the first exception is
+/// rethrown once in-flight tasks finish, and already-issued commits
+/// stay issued.  An empty `commit` skips the commit phase entirely.
 /// Must not be called from inside a parallel_* body.
 void run_units_in_order(
     const std::vector<std::size_t>& units,
-    const std::function<void(std::size_t unit, std::size_t slot)>& run,
+    const std::function<UnitTasks<void>(std::size_t unit, std::size_t slot)>&
+        plan,
     const std::function<void(std::size_t unit, std::size_t slot)>& commit = {});
+
+/// One task per unit: `run(unit, slot)` is the whole unit.
+template <typename Run>
+  requires std::is_void_v<
+      std::invoke_result_t<const Run&, std::size_t, std::size_t>>
+void run_units_in_order(
+    const std::vector<std::size_t>& units, const Run& run,
+    const std::function<void(std::size_t unit, std::size_t slot)>& commit = {}) {
+  run_units_in_order(
+      units,
+      [&run](std::size_t unit, std::size_t slot) {
+        return UnitTasks<void>{
+            1, [&run, unit, slot](std::size_t) { run(unit, slot); }, {}};
+      },
+      commit);
+}
 
 /// What one sharded run did.
 struct ShardRunReport {
@@ -223,11 +269,13 @@ class ShardedRun {
   /// Owned units not on disk, ascending: what generate() computes.
   const std::vector<std::size_t>& pending() const { return pending_; }
 
-  /// Computes `compute(unit) -> Record` for every pending unit on the
-  /// thread pool and appends the lines in unit order, flushing each one
-  /// and failing fast on a write error.
-  template <typename Compute>
-  ShardRunReport generate(const Compute& compute) {
+  /// Computes every pending unit on the thread pool and appends the
+  /// lines in unit order, flushing each one and failing fast on a write
+  /// error.  `plan(unit)` returns either the unit's Record (a one-task
+  /// unit, computed inside its task) or its UnitTasks<Record>, whose
+  /// tasks the pool spreads like any other.
+  template <typename Plan>
+  ShardRunReport generate(const Plan& plan) {
     const std::string who = std::string("run_") + Codec::kStem + "_shard";
     if (!pending_.empty()) {
       std::ofstream data(report_.data_path, std::ios::app);
@@ -239,7 +287,17 @@ class ShardedRun {
       run_units_in_order(
           pending_,
           [&](std::size_t unit, std::size_t slot) {
-            slots[slot] = compute(unit);
+            if constexpr (std::is_same_v<
+                              std::invoke_result_t<const Plan&, std::size_t>,
+                              UnitTasks<Record>>) {
+              return store_result(plan(unit), slots[slot]);
+            } else {
+              return UnitTasks<void>{1,
+                                     [&plan, &slots, unit, slot](std::size_t) {
+                                       slots[slot] = plan(unit);
+                                     },
+                                     {}};
+            }
           },
           [&](std::size_t unit, std::size_t slot) {
             detail::write_unit_line<Codec>(data, unit, slots[slot]);

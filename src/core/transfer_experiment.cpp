@@ -14,7 +14,7 @@ namespace {
 // Stream salts: eval-instance sampling, the cold arm and the warm arm
 // draw from disjoint seed families, and all of them are disjoint from
 // the corpus streams (which use config.seed directly inside
-// generate_instance_record).
+// instance_record_tasks).
 constexpr std::uint64_t kEvalSalt = 0xE7A1;
 constexpr std::uint64_t kColdSalt = 0xC01D;
 constexpr std::uint64_t kWarmSalt = 0x3AB3;
@@ -355,7 +355,7 @@ graph::Graph transfer_eval_instance(const TransferConfig& config,
   while (problem.num_edges() == 0) {
     // An edgeless instance has MaxCut 0 and no defined approximation
     // ratio; resample (terminates for every family validate() accepts,
-    // the cap mirrors generate_instance_record's hang guard).
+    // the cap mirrors instance_record_tasks' hang guard).
     require(++attempts < 10'000'000,
             "transfer_eval_instance: cannot sample an instance with edges");
     problem = sample_graph(config.families[family], config.num_nodes, rng);

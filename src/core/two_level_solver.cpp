@@ -1,5 +1,7 @@
 #include "core/two_level_solver.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "core/angles.hpp"
 
@@ -26,42 +28,62 @@ QaoaRun solve_warm_stage(const MaxCutQaoa& instance,
                            stream_seed, warm_options(config));
 }
 
+/// Level 1's random inputs: max(1, level1_restarts) depth-1 starts.
+RandomStarts draw_level1(const TwoLevelConfig& config, Rng& rng) {
+  return RandomStarts(1, std::max(1, config.level1_restarts), config.eval,
+                      rng);
+}
+
+/// solve_level1 from level-1 inputs drawn beforehand.
+QaoaRun solve_level1_from(const graph::Graph& problem,
+                          const TwoLevelConfig& config,
+                          const RandomStarts& draws) {
+  const MaxCutQaoa level1_instance(problem, 1);
+  MultistartRuns runs = solve_multistart(level1_instance, config.optimizer,
+                                         draws, config.eval, config.options);
+  QaoaRun best = std::move(runs.best);
+  best.function_calls = runs.total_function_calls;  // all restarts count
+  return best;
+}
+
 }  // namespace
+
+TwoLevelDraws::TwoLevelDraws(const TwoLevelConfig& config, Rng& rng)
+    : level1(draw_level1(config, rng)),
+      final_seed(config.eval.sampled() ? rng() : 0) {}
 
 QaoaRun solve_level1(const graph::Graph& problem, const TwoLevelConfig& config,
                      Rng& rng) {
-  const MaxCutQaoa level1_instance(problem, 1);
-  if (config.level1_restarts <= 1) {
-    return solve_random_init(level1_instance, config.optimizer, rng,
-                             config.eval, config.options);
-  }
-  MultistartRuns runs =
-      solve_multistart(level1_instance, config.optimizer,
-                       config.level1_restarts, rng, config.eval,
-                       config.options);
-  QaoaRun best = runs.best;
-  best.function_calls = runs.total_function_calls;  // all restarts count
-  return best;
+  return solve_level1_from(problem, config, draw_level1(config, rng));
 }
 
 AcceleratedRun solve_two_level(const graph::Graph& problem, int target_depth,
                                const ParameterPredictor& predictor,
                                const TwoLevelConfig& config, Rng& rng) {
+  return solve_two_level(problem, target_depth, predictor, config,
+                         TwoLevelDraws(config, rng));
+}
+
+AcceleratedRun solve_two_level(const graph::Graph& problem, int target_depth,
+                               const ParameterPredictor& predictor,
+                               const TwoLevelConfig& config,
+                               const TwoLevelDraws& draws) {
   require(predictor.trained(), "solve_two_level: predictor not trained");
   require(predictor.config().intermediate_depth == 0,
           "solve_two_level: needs a two-level predictor bank");
   require(target_depth >= 2, "solve_two_level: target depth must be >= 2");
 
   AcceleratedRun out;
-  out.level1 = solve_level1(problem, config, rng);
+  out.level1 = solve_level1_from(problem, config, draws.level1);
 
   out.predicted_init = predictor.predict(gamma_of(out.level1.params, 1),
                                          beta_of(out.level1.params, 1),
                                          target_depth);
 
   const MaxCutQaoa target_instance(problem, target_depth);
-  out.final = solve_warm_stage(target_instance, config, out.predicted_init,
-                               rng);
+  out.final = solve_from_seeded(target_instance, config.optimizer,
+                                out.predicted_init, config.eval,
+                                draws.final_seed, warm_options(config));
   out.total_function_calls =
       out.level1.function_calls + out.final.function_calls;
   return out;

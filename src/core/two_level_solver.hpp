@@ -48,18 +48,39 @@ struct AcceleratedRun {
   int total_function_calls = 0;        ///< summed across all stages
 };
 
+/// The random inputs of one two-level run, drawn from `rng` in the
+/// order solve_two_level(..., Rng&) consumes them: the level-1
+/// RandomStarts (max(1, config.level1_restarts) depth-1 starts, then
+/// their stream seeds when sampling), then the target stage's stream
+/// seed (sampled specs only).  Every draw is independent of the
+/// solves, so a run can be planned before it is scheduled.
+struct TwoLevelDraws {
+  RandomStarts level1;
+  std::uint64_t final_seed = 0;
+
+  TwoLevelDraws(const TwoLevelConfig& config, Rng& rng);
+};
+
 /// Level 1 of every flow: optimizes the depth-1 instance of `problem`
-/// from config.level1_restarts random inits (one solve_random_init, or a
-/// solve_multistart whose best run reports the calls of all restarts),
-/// under config.eval and config.options.
+/// from config.level1_restarts random inits (a solve_multistart whose
+/// best run reports the calls of all restarts; one restart is exactly
+/// solve_random_init), under config.eval and config.options.
 QaoaRun solve_level1(const graph::Graph& problem, const TwoLevelConfig& config,
                      Rng& rng);
 
 /// Runs the two-level flow on `problem` for `target_depth`.
-/// `predictor` must be a trained two-level bank.
+/// `predictor` must be a trained two-level bank.  Draws a TwoLevelDraws
+/// from `rng`, then solves from it.
 AcceleratedRun solve_two_level(const graph::Graph& problem, int target_depth,
                                const ParameterPredictor& predictor,
                                const TwoLevelConfig& config, Rng& rng);
+
+/// The two-level flow from inputs drawn beforehand: bit-identical to the
+/// Rng& overload on the rng the draws came from.
+AcceleratedRun solve_two_level(const graph::Graph& problem, int target_depth,
+                               const ParameterPredictor& predictor,
+                               const TwoLevelConfig& config,
+                               const TwoLevelDraws& draws);
 
 /// Runs the three-level flow.  `coarse` seeds the intermediate depth
 /// (two-level bank), `fine` is a hierarchical bank whose

@@ -12,8 +12,10 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -385,6 +387,175 @@ TEST(RunUnitsInOrderTest, ExceptionAbortsNotYetStartedUnits) {
           [&](std::size_t, std::size_t) { throw InvalidArgument("boom"); }),
       Error);
   EXPECT_EQ(runs, 1);
+}
+
+/// A unit of `unit % 4 + 1` tasks whose finish checks it runs after
+/// every task and reduces their results in task order.
+UnitTasks<std::vector<std::size_t>> counted_unit(
+    std::size_t unit, std::vector<std::atomic<int>>& task_runs,
+    std::vector<std::atomic<int>>& finishes) {
+  const std::size_t count = unit % 4 + 1;
+  const auto results = std::make_shared<std::vector<std::size_t>>(count, 0);
+  return UnitTasks<std::vector<std::size_t>>{
+      count,
+      [&task_runs, results, unit](std::size_t task) {
+        ++task_runs[unit * 4 + task];
+        (*results)[task] = unit * 100 + task;
+      },
+      [&finishes, results, unit] {
+        ++finishes[unit];
+        return *results;
+      }};
+}
+
+TEST(RunUnitsInOrderTest, MultiTaskUnitsFinishInTaskOrderAndCommitAscending) {
+  for (const int threads : {1, 3, 8}) {
+    ScopedThreadCount scoped(threads);
+    const std::vector<std::size_t> units{0, 2, 3, 5, 6, 7, 9, 12, 14};
+    std::vector<std::atomic<int>> task_runs(15 * 4);
+    std::vector<std::atomic<int>> finishes(15);
+    std::vector<std::vector<std::size_t>> results(units.size());
+    std::vector<std::size_t> committed;
+    run_units_in_order(
+        units,
+        [&](std::size_t unit, std::size_t slot) {
+          EXPECT_EQ(units[slot], unit);
+          return store_result(counted_unit(unit, task_runs, finishes),
+                              results[slot]);
+        },
+        [&](std::size_t unit, std::size_t slot) {
+          // A unit is committed only after its finish has run.
+          EXPECT_EQ(finishes[unit].load(), 1);
+          EXPECT_EQ(results[slot].size(), unit % 4 + 1);
+          committed.push_back(unit);
+        });
+    EXPECT_EQ(committed, units) << "threads=" << threads;
+    for (std::size_t slot = 0; slot < units.size(); ++slot) {
+      const std::size_t unit = units[slot];
+      EXPECT_EQ(finishes[unit].load(), 1);
+      for (std::size_t task = 0; task < 4; ++task) {
+        EXPECT_EQ(task_runs[unit * 4 + task].load(),
+                  task <= unit % 4 ? 1 : 0);
+      }
+      std::vector<std::size_t> expected;
+      for (std::size_t task = 0; task <= unit % 4; ++task) {
+        expected.push_back(unit * 100 + task);
+      }
+      EXPECT_EQ(results[slot], expected);
+    }
+  }
+}
+
+TEST(RunUnitsInOrderTest, OneThreadRunsPlanTasksFinishCommitInUnitMajorOrder) {
+  ScopedThreadCount scoped(1);
+  std::vector<std::string> log;
+  run_units_in_order(
+      {4, 7},
+      [&](std::size_t unit, std::size_t) {
+        log.push_back("plan " + std::to_string(unit));
+        return UnitTasks<void>{
+            2,
+            [&log, unit](std::size_t task) {
+              log.push_back("task " + std::to_string(unit) + "." +
+                            std::to_string(task));
+            },
+            [&log, unit] { log.push_back("finish " + std::to_string(unit)); }};
+      },
+      [&](std::size_t unit, std::size_t) {
+        log.push_back("commit " + std::to_string(unit));
+      });
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "plan 4", "task 4.0", "task 4.1", "finish 4", "commit 4",
+                     "plan 7", "task 7.0", "task 7.1", "finish 7",
+                     "commit 7"}));
+}
+
+TEST(RunUnitsInOrderTest, TaskExceptionAbortsTasksNotYetStarted) {
+  // One thread: after task 1 of unit 0 throws, neither task 2, nor the
+  // unit's finish, nor any later unit's plan may run.
+  ScopedThreadCount scoped(1);
+  std::vector<std::string> log;
+  EXPECT_THROW(
+      run_units_in_order(
+          {0, 1},
+          [&](std::size_t unit, std::size_t) {
+            log.push_back("plan " + std::to_string(unit));
+            return UnitTasks<void>{
+                3,
+                [&log](std::size_t task) {
+                  log.push_back("task " + std::to_string(task));
+                  if (task == 1) throw InvalidArgument("boom");
+                },
+                [&log] { log.push_back("finish"); }};
+          },
+          [&](std::size_t, std::size_t) { log.push_back("commit"); }),
+      Error);
+  EXPECT_EQ(log,
+            (std::vector<std::string>{"plan 0", "task 0", "task 1"}));
+}
+
+TEST(RunUnitsInOrderTest, FinishExceptionReachesTheCallerAndStopsCommits) {
+  // Many threads: a throwing finish ends the wave; the exception reaches
+  // the caller once, and no unit at or past the failed one commits.
+  ScopedThreadCount scoped(4);
+  std::vector<std::size_t> units(64);
+  for (std::size_t i = 0; i < units.size(); ++i) units[i] = i;
+  std::vector<std::size_t> committed;
+  EXPECT_THROW(
+      run_units_in_order(
+          units,
+          [&](std::size_t unit, std::size_t) {
+            return UnitTasks<void>{4, [](std::size_t) {}, [unit] {
+                                     if (unit == 3) {
+                                       throw InvalidArgument("boom");
+                                     }
+                                   }};
+          },
+          [&](std::size_t unit, std::size_t) { committed.push_back(unit); }),
+      Error);
+  for (const std::size_t unit : committed) EXPECT_LT(unit, 3u);
+}
+
+TEST(RunUnitsInOrderTest, OneTaskFormIsAOneTaskPlan) {
+  // The one-task overload and an explicit one-task plan make the same
+  // calls in the same order.
+  ScopedThreadCount scoped(1);
+  const std::vector<std::size_t> units{1, 4, 6};
+  std::vector<std::string> direct;
+  run_units_in_order(
+      units,
+      [&](std::size_t unit, std::size_t slot) {
+        direct.push_back("run " + std::to_string(unit) + "@" +
+                         std::to_string(slot));
+      },
+      [&](std::size_t unit, std::size_t) {
+        direct.push_back("commit " + std::to_string(unit));
+      });
+  std::vector<std::string> planned;
+  run_units_in_order(
+      units,
+      [&](std::size_t unit, std::size_t slot) {
+        return UnitTasks<void>{1,
+                               [&planned, unit, slot](std::size_t) {
+                                 planned.push_back("run " +
+                                                   std::to_string(unit) + "@" +
+                                                   std::to_string(slot));
+                               },
+                               {}};
+      },
+      [&](std::size_t unit, std::size_t) {
+        planned.push_back("commit " + std::to_string(unit));
+      });
+  EXPECT_EQ(direct, planned);
+  EXPECT_EQ(direct.size(), 6u);
+}
+
+TEST(RunUnitsInOrderTest, UnitWithoutTasksIsRejected) {
+  EXPECT_THROW(run_units_in_order({0},
+                                  [](std::size_t, std::size_t) {
+                                    return UnitTasks<void>{0, {}, {}};
+                                  }),
+               Error);
 }
 
 TEST(CorpusPipelineTest, ChangedOptimizerOptionsInvalidateShards) {

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "core/sharded_run.hpp"
 
 namespace qaoaml::core {
@@ -150,6 +152,35 @@ TEST(ShardedRun, WritesTheDocumentedFormatAndMergesBitExactly) {
     const std::string sharded = unique_dir("merge" + std::to_string(shards));
     for (int s = 0; s < shards; ++s) run_shard(sharded, ShardSpec{s, shards});
     expect_merged(sharded, shards);
+  }
+}
+
+TEST(ShardedRun, MultiTaskUnitsWriteTheSameBytesAsOneTaskUnits) {
+  // Each unit split into three tasks that each compute a part of the
+  // record; finish assembles it.  The file is the one-task file.
+  const ShardSpec shard{0, 2};
+  const ShardRunReport expected = run_shard(unique_dir("one_task"), shard);
+  for (const int threads : {1, 4}) {
+    ScopedThreadCount scoped(threads);
+    ShardedRun<ToyCodec> run(
+        ToyCodec{}, shard,
+        unique_dir("three_tasks" + std::to_string(threads)), kTotal);
+    const ShardRunReport report = run.generate([](std::size_t unit) {
+      const auto parts = std::make_shared<std::vector<double>>(3, 0.0);
+      return UnitTasks<ToyRecord>{
+          3,
+          [parts, unit](std::size_t task) {
+            (*parts)[task] = task == 0   ? static_cast<double>(unit)
+                             : task == 1 ? 1.0 / 3.0
+                                         : static_cast<double>(unit * unit);
+          },
+          [parts] {
+            return ToyRecord{(*parts)[0] + (*parts)[1],
+                             static_cast<long>((*parts)[2])};
+          }};
+    });
+    EXPECT_EQ(report.units_generated, 5u);
+    EXPECT_EQ(read_file(report.data_path), read_file(expected.data_path));
   }
 }
 

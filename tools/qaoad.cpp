@@ -3,8 +3,8 @@
 // and serves predictions, warm starts and full two-level solves over a
 // Unix-domain socket until told to stop:
 //
-//   qaoad --socket /tmp/qaoad.sock \
-//         --bank erdos-renyi=er.qpb --bank regular=reg.qpb
+//   qaoad --socket /tmp/qaoad.sock
+//         --bank erdos-renyi=er.qpb --bank regular=reg.qpb   (one command)
 //
 //   SIGHUP   hot-reloads every bank file (zero dropped requests:
 //            in-flight work finishes on the bank it started with)

@@ -1,17 +1,18 @@
-// qaoad_request — one-shot client CLI for the qaoad daemon.
+// qaoad_request — one-shot client CLI for the qaoad daemon.  Each
+// example below is one command; the long ones are wrapped.
 //
 //   # bank lookup (prints the EXACT `train_predictor --predict` line,
 //   # so CI can `cmp` served angles against the offline bank):
-//   qaoad_request --socket /tmp/qaoad.sock --family erdos-renyi \
+//   qaoad_request --socket /tmp/qaoad.sock --family erdos-renyi
 //       --predict 0.6,0.4,3
 //
 //   # server-side level-1 optimize + predict on a locally sampled
 //   # instance (NODES,SEED,DEPTH; the graph travels on the wire):
-//   qaoad_request --socket /tmp/qaoad.sock --family erdos-renyi \
+//   qaoad_request --socket /tmp/qaoad.sock --family erdos-renyi
 //       --warm-start 8,7,3
 //
 //   # full two-level solve on the server:
-//   qaoad_request --socket /tmp/qaoad.sock --family erdos-renyi \
+//   qaoad_request --socket /tmp/qaoad.sock --family erdos-renyi
 //       --solve 8,7,3
 //
 //   # daemon counters:
